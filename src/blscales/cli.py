@@ -12,18 +12,11 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .datum import (
-    BLDatum,
-    DatumError,
-    finiteness_check,
-    load_datum,
-    scaling_condition,
-    validate_datum,
-)
+from . import mc
+from .datum import BLDatum, DatumError, finiteness_check, load_datum
 from .functional import (
     Box,
     GaussianFunction,
@@ -33,17 +26,9 @@ from .functional import (
     ball_inequality_check,
     bl_functional,
 )
-from .gaussians import (
-    GaussianTuple,
-    SingularMatrixError,
-    gaussian_bl_value,
-    scale_gaussian,
-    solve_extremiser,
-    truncation_deficit,
-)
+from .gaussians import SingularMatrixError, scale_gaussian, solve_extremiser
 from .nonlinear import (
     LocalizedProblem,
-    REGISTRY_TAGS,
     ThresholdError,
     UncertifiedInputError,
     base_case_check,
@@ -55,10 +40,10 @@ from .nonlinear import (
 from .scheduler import (
     ScheduleParams,
     accumulated_factor,
-    choose_delta0,
     final_bound,
     kappa_evolution,
     schedule,
+    step_losses,
     validate_params,
 )
 
@@ -101,11 +86,6 @@ def _threads() -> int:
         return 1
 
 
-def _load(path: str) -> BLDatum:
-    datum = load_datum(path)
-    return datum
-
-
 def _quad(args) -> QuadratureSpec:
     return QuadratureSpec(
         method=args.method, resolution=args.resolution, seed=args.seed
@@ -113,7 +93,7 @@ def _quad(args) -> QuadratureSpec:
 
 
 def cmd_constant(args) -> int:
-    datum = _load(args.input)
+    datum = load_datum(args.input)
     res = solve_extremiser(
         datum, tol=args.tol, max_iter=args.max_iter, damping=args.damping
     )
@@ -130,7 +110,7 @@ def cmd_constant(args) -> int:
 
 
 def cmd_extremiser(args) -> int:
-    datum = _load(args.input)
+    datum = load_datum(args.input)
     res = solve_extremiser(
         datum, tol=args.tol, max_iter=args.max_iter, damping=args.damping
     )
@@ -141,7 +121,7 @@ def cmd_extremiser(args) -> int:
 
 
 def cmd_finiteness(args) -> int:
-    datum = _load(args.input)
+    datum = load_datum(args.input)
     report = finiteness_check(datum, mode=args.mode, budget=args.budget, seed=args.seed)
     out = report.to_json()
     out["mode"] = args.mode
@@ -172,7 +152,7 @@ def _build_inputs(datum: BLDatum, kind: str, args) -> InputTuple:
 
 
 def cmd_functional(args) -> int:
-    datum = _load(args.input)
+    datum = load_datum(args.input)
     inputs = _build_inputs(datum, args.inputs, args)
     value, err = bl_functional(datum, inputs, _quad(args))
     out = {
@@ -188,7 +168,7 @@ def cmd_functional(args) -> int:
 
 
 def cmd_ball_check(args) -> int:
-    datum = _load(args.input)
+    datum = load_datum(args.input)
     res = solve_extremiser(datum)
     g = res.gaussians
     gauss = InputTuple(
@@ -216,7 +196,7 @@ def cmd_ball_check(args) -> int:
 
 
 def cmd_nonlinear(args) -> int:
-    datum = _load(args.input) if args.input else None
+    datum = load_datum(args.input) if args.input else None
     nd = registry(args.group, datum=datum)
     u = nd.base_point()
     lp = LocalizedProblem(
@@ -277,7 +257,7 @@ def cmd_young_lie(args) -> int:
             )
         )
     _write_text(args.output, "\n".join(lines) + "\n")
-    bad = any(row.slack < -3.0 * row.stderr for row in table["rows"])
+    bad = any(mc.verdict(row.slack, row.stderr) == "fail" for row in table["rows"])
     return 1 if bad else 0
 
 
@@ -307,9 +287,10 @@ def cmd_schedule(args) -> int:
         "k,delta_k,kappa_k,running_product",
     ]
     running = 1.0
+    losses = step_losses(params.delta0, params.alpha, params.beta)
     for k, d in enumerate(deltas):
         if k < k_star:
-            t = d**params.beta
+            t = next(losses)
             running *= (1.0 + t) * math.exp(params.sigma * t)
         lines.append(f"{k},{_fmt(d)},{_fmt(kappas[min(k, len(kappas) - 1)])},{_fmt(running)}")
     _write_text(args.output, "\n".join(lines) + "\n")

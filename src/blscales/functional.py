@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.fft import irfftn, next_fast_len, rfftn
 from scipy.interpolate import RegularGridInterpolator
 from scipy.optimize import linprog
-from scipy.signal import fftconvolve
 
 from . import mc
 from .datum import BLDatum, DatumError, validate_datum
@@ -316,9 +316,22 @@ class InputTuple:
 # quadrature primitives
 
 
-def _exact_mass(fn) -> Optional[float]:
-    mass = getattr(fn, "exact_mass", None)
-    return mass
+def _box_estimate(fn, box: Box, q: QuadratureSpec, stream: int, outside=None) -> mc.Estimate:
+    """Integral of fn over a box under the quadrature spec.  Under monte-carlo
+    the boundary share is the part on the points that `outside` marks."""
+    if q.method == "tensor-grid":
+        return mc.grid_estimate(fn, box, q.resolution)
+    lo = np.asarray(box.lo)
+    hi = np.asarray(box.hi)
+    return mc.monte_carlo(
+        fn,
+        lambda gen, size: mc.uniform_box(gen, size, lo, hi),
+        box.volume(),
+        q.resolution,
+        q.seed,
+        stream,
+        outside,
+    )
 
 
 def integrate_function(
@@ -330,47 +343,13 @@ def integrate_function(
     prefer_exact short-circuits to the closed-form mass when one exists.
     """
     if prefer_exact:
-        mass = _exact_mass(fn)
+        mass = getattr(fn, "exact_mass", None)
         if mass is not None:
             return float(mass), 0.0
     if isinstance(fn, SampledFunction) and q.method == "tensor-grid":
         return fn.native_mass(), 0.0
-    box = fn.box
-    if q.method == "tensor-grid":
-        val = _grid_box_integral(fn, box, q.resolution)
-        coarse = _grid_box_integral(fn, box, max(q.resolution // 2, 2))
-        return val, abs(val - coarse)
-    total = 0.0
-    totsq = 0.0
-    count = 0
-    lo = np.asarray(box.lo)
-    hi = np.asarray(box.hi)
-    for index, size in mc.iter_chunks(q.resolution):
-        gen = mc.chunk_generator(q.seed, stream, index)
-        pts = mc.uniform_box(gen, size, lo, hi)
-        vals = fn(pts)
-        total += float(vals.sum())
-        totsq += float((vals * vals).sum())
-        count += size
-    mean = total / count
-    var = max(totsq / count - mean * mean, 0.0)
-    vol = box.volume()
-    return vol * mean, vol * math.sqrt(var / count)
-
-
-def _grid_box_integral(fn, box: Box, resolution: int) -> float:
-    axes = box.midpoint_axes(resolution)
-    d = box.dim
-    cell = box.volume() / resolution**d
-    total = 0.0
-    npts = resolution**d
-    chunk = max(mc.CHUNK // max(d, 1), 1)
-    for start in range(0, npts, chunk):
-        idx = np.arange(start, min(start + chunk, npts))
-        coords = np.unravel_index(idx, (resolution,) * d)
-        pts = np.column_stack([axes[i][coords[i]] for i in range(d)])
-        total += float(fn(pts).sum())
-    return total * cell
+    est = _box_estimate(fn, fn.box, q, stream)
+    return est.value, est.stderr
 
 
 def _pullback_values(datum: BLDatum, funcs, pts: np.ndarray) -> np.ndarray:
@@ -380,63 +359,6 @@ def _pullback_values(datum: BLDatum, funcs, pts: np.ndarray) -> np.ndarray:
             continue
         vals *= f(pts @ L.T) ** p
     return vals
-
-
-def _grid_pullback_integral(
-    datum: BLDatum, funcs, domain: Box, resolution: int
-) -> tuple:
-    """Midpoint quadrature of prod (f_j o L_j)^{p_j} over an n-dim box.
-
-    Returns (integral, boundary_fraction): the fraction of the integral carried
-    by the outermost layer of cells, used to detect an undersized domain.
-    """
-    n = domain.dim
-    axes = domain.midpoint_axes(resolution)
-    cell = domain.volume() / resolution**n
-    total = 0.0
-    boundary = 0.0
-    npts = resolution**n
-    chunk = max(mc.CHUNK // max(n, 1), 1)
-    for start in range(0, npts, chunk):
-        idx = np.arange(start, min(start + chunk, npts))
-        coords = np.unravel_index(idx, (resolution,) * n)
-        pts = np.column_stack([axes[i][coords[i]] for i in range(n)])
-        vals = _pullback_values(datum, funcs, pts)
-        total += float(vals.sum())
-        edge = np.zeros(len(idx), dtype=bool)
-        for i in range(n):
-            edge |= (coords[i] == 0) | (coords[i] == resolution - 1)
-        boundary += float(vals[edge].sum())
-    frac = boundary / total if total > 0 else 0.0
-    return total * cell, frac
-
-
-def _mc_pullback_integral(
-    datum: BLDatum, funcs, domain: Box, samples: int, seed: int, stream: int
-) -> tuple:
-    lo = np.asarray(domain.lo)
-    hi = np.asarray(domain.hi)
-    widths = hi - lo
-    shell_lo = lo + 0.02 * widths
-    shell_hi = hi - 0.02 * widths
-    total = 0.0
-    totsq = 0.0
-    boundary = 0.0
-    count = 0
-    for index, size in mc.iter_chunks(samples):
-        gen = mc.chunk_generator(seed, stream, index)
-        pts = mc.uniform_box(gen, size, lo, hi)
-        vals = _pullback_values(datum, funcs, pts)
-        total += float(vals.sum())
-        totsq += float((vals * vals).sum())
-        inner = np.all((pts >= shell_lo) & (pts <= shell_hi), axis=1)
-        boundary += float(vals[~inner].sum())
-        count += size
-    mean = total / count
-    var = max(totsq / count - mean * mean, 0.0)
-    vol = domain.volume()
-    frac = boundary / total if total > 0 else 0.0
-    return vol * mean, vol * math.sqrt(var / count), frac
 
 
 def auto_domain(datum: BLDatum, boxes: Sequence[Box]) -> Optional[Box]:
@@ -511,16 +433,19 @@ def bl_functional(
         # so mass on the outer cells is genuine rather than a truncation artifact
         domain_is_exact = all(f.compact_support for f in inputs.functions)
 
-    if q.method == "tensor-grid":
-        num, frac = _grid_pullback_integral(datum, inputs.functions, domain, q.resolution)
-        coarse, _ = _grid_pullback_integral(
-            datum, inputs.functions, domain, max(q.resolution // 2, 2)
-        )
-        num_err = abs(num - coarse)
-    else:
-        num, num_err, frac = _mc_pullback_integral(
-            datum, inputs.functions, domain, q.resolution, q.seed, _stream_base
-        )
+    # under monte-carlo the boundary layer is the outer 2% of each axis
+    lo = np.asarray(domain.lo)
+    hi = np.asarray(domain.hi)
+    shell_lo = lo + 0.02 * (hi - lo)
+    shell_hi = hi - 0.02 * (hi - lo)
+    est = _box_estimate(
+        lambda pts: _pullback_values(datum, inputs.functions, pts),
+        domain,
+        q,
+        _stream_base,
+        lambda pts: ~np.all((pts >= shell_lo) & (pts <= shell_hi), axis=1),
+    )
+    num, num_err, frac = est.value, est.stderr, est.boundary
     if frac > BOUNDARY_MASS_LIMIT and not domain_is_exact:
         raise DomainTooSmallError(
             f"outermost cells carry {frac:.1%} of the numerator mass; enlarge the domain"
@@ -548,16 +473,22 @@ def _sample_on_grid(fn, h: np.ndarray) -> SampledFunction:
     widths = box.widths
     cells = np.maximum(np.ceil(widths / h - 1e-9).astype(int), 1)
     axes = [lo[i] + (np.arange(cells[i]) + 0.5) * h[i] for i in range(box.dim)]
-    shape = tuple(cells)
-    npts = int(np.prod(shape))
-    vals = np.empty(npts)
-    chunk = max(mc.CHUNK // max(box.dim, 1), 1)
-    for start in range(0, npts, chunk):
-        idx = np.arange(start, min(start + chunk, npts))
-        coords = np.unravel_index(idx, shape)
-        pts = np.column_stack([axes[i][coords[i]] for i in range(box.dim)])
+    vals = np.empty(int(np.prod(cells)))
+    for idx, _, pts in mc.grid_points(axes):
         vals[idx] = fn(pts)
-    return SampledFunction(axes, vals.reshape(shape))
+    return SampledFunction(axes, vals.reshape(tuple(cells)))
+
+
+def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real arrays by real FFTs padded to fast
+    lengths.  Axes of length 1 in either array are broadcast, not transformed."""
+    axes = [i for i in range(a.ndim) if a.shape[i] > 1 and b.shape[i] > 1]
+    if not axes:
+        return a * b
+    shape = [m + n - 1 for m, n in zip(a.shape, b.shape)]
+    fshape = [next_fast_len(shape[i], True) for i in axes]
+    out = irfftn(rfftn(a, fshape, axes=axes) * rfftn(b, fshape, axes=axes), fshape, axes=axes)
+    return out[tuple(slice(n) for n in shape)]
 
 
 def convolve_inputs(f: InputTuple, g: InputTuple, q: QuadratureSpec) -> InputTuple:
@@ -576,7 +507,7 @@ def convolve_inputs(f: InputTuple, g: InputTuple, q: QuadratureSpec) -> InputTup
         h = np.maximum(fj.box.widths, gj.box.widths) / q.resolution
         sf = _sample_on_grid(fj, h)
         sg = _sample_on_grid(gj, h)
-        conv = fftconvolve(sf.values, sg.values)
+        conv = _fft_convolve(sf.values, sg.values)
         conv = np.maximum(conv, 0.0) * np.prod(h)
         axes = []
         for i in range(fj.box.dim):
@@ -623,14 +554,6 @@ class BallCheckReport:
             "extremiser_consequences": self.extremiser_consequences,
         }
         return out
-
-
-def _verdict(slack: float, sigma: float) -> str:
-    if slack >= 3.0 * sigma:
-        return "pass"
-    if slack <= -3.0 * sigma:
-        return "fail"
-    return "inconclusive"
 
 
 def ball_inequality_check(
@@ -726,7 +649,7 @@ def ball_inequality_check(
     )
     slack = rhs - lhs
     sigma = math.hypot(err_lhs, err_rhs)
-    verdict = _verdict(slack, sigma)
+    verdict = mc.verdict(slack, sigma)
 
     consequences = None
     if near_extremiser:
@@ -738,12 +661,12 @@ def ball_inequality_check(
             "conv_dominates": {
                 "slack": s1,
                 "stderr": sg1,
-                "verdict": _verdict(s1, sg1),
+                "verdict": mc.verdict(s1, sg1),
             },
             "localization_dominates": {
                 "slack": s2,
                 "stderr": sg2,
-                "verdict": _verdict(s2, sg2),
+                "verdict": mc.verdict(s2, sg2),
             },
         }
 
@@ -837,7 +760,7 @@ def poisson_smooth(
     else:
         raise ValueError("poisson_smooth supports dimensions 1 and 2")
     weights = weights / weights.sum()
-    conv = fftconvolve(f.values, weights)
+    conv = _fft_convolve(f.values, weights)
     conv = np.maximum(conv, 0.0)
     axes = []
     for i in range(d):

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import gammaincc
 
 from .datum import BLDatum, DatumError, validate_datum
 
@@ -283,7 +282,8 @@ def truncation_deficit(
 
     The product equals exp(-pi <M x, x>) up to amplitude; after whitening, the
     complement of the ball lies inside {|z| >= r sqrt(lambda_min(M))}, whose
-    gaussian mass is computed by radial quadrature.  Returns (deficit, bound)
+    gaussian mass is the regularized upper incomplete gamma function
+    Q(n/2, pi r^2 lambda_min(M)).  Returns (deficit, bound)
     with bound = delta^{2 eta}.
     """
     if not (0.0 < delta < 1.0 / math.e):
@@ -295,14 +295,7 @@ def truncation_deficit(
     n = datum.n
     radius = delta * math.log(1.0 / delta)
     r_white = radius * math.sqrt(w[0])
-    # surface area of S^{n-1} over the unit-mass gaussian normalization
-    log_sphere = math.log(2.0) + 0.5 * n * math.log(math.pi) - gammaln(0.5 * n)
-    sphere = math.exp(log_sphere)
-
-    def integrand(s):
-        return sphere * s ** (n - 1) * math.exp(-math.pi * s * s)
-
-    deficit, _ = quad(integrand, r_white, math.inf)
+    deficit = gammaincc(0.5 * n, math.pi * r_white * r_white)
     bound = delta ** (2.0 * eta)
     return float(deficit), float(bound)
 

@@ -27,6 +27,7 @@ from .functional import (
     GaussianFunction,
     InputTuple,
     QuadratureSpec,
+    ZeroMassError,
     integrate_function,
     product_input,
 )
@@ -343,6 +344,21 @@ def certify_inputs(
 # ---------------------------------------------------------------------------
 # localized ratio
 
+def _in_ball(fn, center: np.ndarray, radius_sq: float) -> Callable:
+    """fn on the closed ball of squared radius `radius_sq`, zero outside: the
+    integrand of a ball integral taken by grid quadrature over its bounding
+    box."""
+
+    def masked(pts):
+        inside = np.sum((pts - center) ** 2, axis=1) <= radius_sq
+        out = np.zeros(pts.shape[0])
+        if np.any(inside):
+            out[inside] = fn(pts[inside])
+        return out
+
+    return masked
+
+
 def _ball_pullback_integral(
     nd: NonlinearDatum,
     funcs: Sequence,
@@ -361,50 +377,19 @@ def _ball_pullback_integral(
             vals *= fj(s(pts)) ** p
         return vals
 
-    n = nd.n
     if q.method == "monte-carlo":
-        vol = mc.ball_volume(n, radius)
-        total = 0.0
-        totsq = 0.0
-        count = 0
-        for index, size in mc.iter_chunks(q.resolution):
-            gen = mc.chunk_generator(q.seed, stream, index)
-            pts = mc.uniform_ball(gen, size, center, radius)
-            vals = values(pts)
-            total += float(vals.sum())
-            totsq += float((vals * vals).sum())
-            count += size
-        mean = total / count
-        var = max(totsq / count - mean * mean, 0.0)
-        return vol * mean, vol * math.sqrt(var / count)
-
-    box = Box(center - radius, center + radius)
-
-    def masked(pts):
-        inside = np.sum((pts - center) ** 2, axis=1) <= radius * radius
-        out = np.zeros(pts.shape[0])
-        if np.any(inside):
-            out[inside] = values(pts[inside])
-        return out
-
-    fine = _grid_integral_nd(masked, box, q.resolution)
-    coarse = _grid_integral_nd(masked, box, max(q.resolution // 2, 2))
-    return fine, abs(fine - coarse)
-
-
-def _grid_integral_nd(fn, box: Box, resolution: int) -> float:
-    axes = box.midpoint_axes(resolution)
-    n = box.dim
-    cell = box.volume() / resolution**n
-    npts = resolution**n
-    total = 0.0
-    chunk = max(mc.CHUNK // max(n, 1), 1)
-    for start in range(0, npts, chunk):
-        idx = np.arange(start, min(start + chunk, npts))
-        coords = np.unravel_index(idx, (resolution,) * n)
-        pts = np.column_stack([axes[i][coords[i]] for i in range(n)])
-        total += float(fn(pts).sum())
-    return total * cell
+        est = mc.monte_carlo(
+            values,
+            lambda gen, size: mc.uniform_ball(gen, size, center, radius),
+            mc.ball_volume(nd.n, radius),
+            q.resolution,
+            q.seed,
+            stream,
+        )
+    else:
+        box = Box(center - radius, center + radius)
+        est = mc.grid_estimate(_in_ball(values, center, radius * radius), box, q.resolution)
+    return est.value, est.stderr
 
 
 def localized_ratio(
@@ -443,7 +428,7 @@ def localized_ratio(
             fj, q, stream=_stream_base + 1 + j, prefer_exact=True
         )
         if not mass > 0.0:
-            raise ValueError(f"input {j} has zero estimated mass")
+            raise ZeroMassError(f"input {j} has zero estimated mass")
         log_den += p * math.log(mass)
         rel += (p * err / mass) ** 2
     ratio = num * math.exp(-log_den)
@@ -482,14 +467,6 @@ class BaseCaseReport:
             "dev_bound": self.dev_bound,
             "threshold": self.threshold,
         }
-
-
-def _verdict(slack: float, sigma: float) -> str:
-    if slack >= 3.0 * sigma:
-        return "pass"
-    if slack <= -3.0 * sigma:
-        return "fail"
-    return "inconclusive"
 
 
 def base_case_check(
@@ -542,7 +519,7 @@ def base_case_check(
         kappa_sigma=kappa_sigma,
         bound=bound,
         slack=slack,
-        verdict=_verdict(slack, err),
+        verdict=mc.verdict(slack, err),
         linearization_dev=dev,
         dev_bound=dev_bound,
         threshold=threshold,
@@ -716,7 +693,7 @@ def recursive_step_check(
                 nd, lp_fine, InputTuple(hs), q, certify=False,
                 _stream_base=1000 + 100 * ix,
             )
-        except ValueError:
+        except ZeroMassError:
             # empty localized tuple: contributes nothing to the maximum
             entries.append(RecursiveEntry(x=x, ratio=0.0, stderr=0.0))
             continue
@@ -739,7 +716,7 @@ def recursive_step_check(
         rhs=rhs,
         rhs_err=rhs_err,
         slack=slack,
-        verdict=_verdict(slack, sigma),
+        verdict=mc.verdict(slack, sigma),
         equality_gap=gap,
         entries=entries,
         certifications=certifications,
@@ -836,40 +813,30 @@ def perturbation_check(
 
     radius_fine = localization_radius(delta_fine)
     if q.method == "monte-carlo":
-        vol = mc.ball_volume(nd.n, radius_fine)
-        acc_l = acc_r = acc_d = 0.0
-        count = 0
-        for index, size in mc.iter_chunks(q.resolution):
-            gen = mc.chunk_generator(q.seed, 31, index)
-            pts = mc.uniform_ball(gen, size, y, radius_fine)
+        # plain means of the three integrands over one shared draw
+
+        def integrands(pts):
             a = lhs_integrand(pts)
             b = rhs_integrand(pts)
-            acc_l += float(a.sum())
-            acc_r += float(b.sum())
-            acc_d += float(np.abs(a - b).sum())
-            count += size
-        lhs = vol * acc_l / count
-        rhs = vol * acc_r / count
-        l1 = vol * acc_d / count
+            return np.stack([a, b, np.abs(a - b)])
+
+        total, _, _, count = mc.sample_sums(
+            integrands,
+            lambda gen, size: mc.uniform_ball(gen, size, y, radius_fine),
+            q.resolution,
+            q.seed,
+            31,
+        )
+        lhs, rhs, l1 = (mc.ball_volume(nd.n, radius_fine) * total / count).tolist()
     else:
         box = Box(y - radius_fine, y + radius_fine)
-
-        def masked(fn):
-            def inner(pts):
-                inside = np.sum((pts - y) ** 2, axis=1) <= radius_fine**2
-                out = np.zeros(pts.shape[0])
-                if np.any(inside):
-                    out[inside] = fn(pts[inside])
-                return out
-
-            return inner
-
-        lhs = _grid_integral_nd(masked(lhs_integrand), box, q.resolution)
-        rhs = _grid_integral_nd(masked(rhs_integrand), box, q.resolution)
-        l1 = _grid_integral_nd(
-            masked(lambda pts: np.abs(lhs_integrand(pts) - rhs_integrand(pts))),
-            box,
-            q.resolution,
+        lhs, rhs, l1 = (
+            mc.grid_integral(_in_ball(fn, y, radius_fine**2), box, q.resolution)[0]
+            for fn in (
+                lhs_integrand,
+                rhs_integrand,
+                lambda pts: np.abs(lhs_integrand(pts) - rhs_integrand(pts)),
+            )
         )
 
     allowed = (1.0 + delta**beta_prime) * rhs

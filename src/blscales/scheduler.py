@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 # domain bound for delta0 (radii r log(1/r) must be increasing in r)
 DELTA0_DOMAIN_CAP = 1.0 / math.e - 1e-6
@@ -85,6 +87,16 @@ def schedule(params: ScheduleParams) -> tuple:
     raise RuntimeError("schedule did not reach the base-case threshold")
 
 
+def step_losses(delta0: float, alpha: float, beta: float) -> Iterator[float]:
+    """The per-step losses t_k = delta0^(alpha^k beta), k = 0, 1, ..., evaluated
+    in log space."""
+    log_d0 = math.log(delta0)
+    power = 1.0
+    while True:
+        yield math.exp(beta * power * log_d0)
+        power *= alpha
+
+
 def accumulated_factor(params: ScheduleParams, k_star: int) -> tuple:
     """Product of per-step losses over the recursive scales k < k*.
 
@@ -96,27 +108,19 @@ def accumulated_factor(params: ScheduleParams, k_star: int) -> tuple:
     _require_valid(params)
     if k_star < 0:
         raise ValueError("k_star must be nonnegative")
-    log_d0 = math.log(params.delta0)
     product = 1.0
-    power = 1.0
-    for _ in range(k_star):
-        t = math.exp(params.beta * power * log_d0)
+    for t in islice(step_losses(params.delta0, params.alpha, params.beta), k_star):
         product *= (1.0 + t) * math.exp(params.sigma * t)
-        power *= params.alpha
     log_bound = (1.0 + params.sigma) * _series_sum(params.delta0, params.alpha, params.beta)
     return product, log_bound
 
 
 def _series_sum(delta0: float, alpha: float, beta: float) -> float:
-    log_d0 = math.log(delta0)
     total = 0.0
-    power = 1.0
-    for _ in range(_SERIES_MAX_TERMS):
-        t = math.exp(beta * power * log_d0)
+    for t in islice(step_losses(delta0, alpha, beta), _SERIES_MAX_TERMS):
         total += t
         if t < _SERIES_FLOOR:
             break
-        power *= alpha
     return total
 
 
@@ -128,27 +132,19 @@ def kappa_evolution(params: ScheduleParams, k_star: int, kappa0: float) -> list:
         raise ValueError("kappa0 must be at least 1")
     if k_star < 0:
         raise ValueError("k_star must be nonnegative")
-    log_d0 = math.log(params.delta0)
     out = [kappa0]
-    power = 1.0
-    for _ in range(k_star):
-        t = math.exp(params.beta * power * log_d0)
+    for t in islice(step_losses(params.delta0, params.alpha, params.beta), k_star):
         out.append(out[-1] * math.exp(t))
-        power *= params.alpha
     return out
 
 
 def total_loss_factor(delta0: float, alpha: float, beta: float, sigma: float) -> float:
     """Full-series loss prod_{k>=0} (1 + t_k) exp(sigma t_k), t_k = delta0^(alpha^k beta)."""
-    log_d0 = math.log(delta0)
     acc = 0.0
-    power = 1.0
-    for _ in range(_SERIES_MAX_TERMS):
-        t = math.exp(beta * power * log_d0)
+    for t in islice(step_losses(delta0, alpha, beta), _SERIES_MAX_TERMS):
         acc += math.log1p(t) + sigma * t
         if t < _SERIES_FLOOR:
             break
-        power *= alpha
     return math.exp(acc)
 
 

@@ -2,7 +2,10 @@
 
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,6 +295,22 @@ def test_schedule_defaults(tmp_path):
     assert len(lines) == 12
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        [],
+        ["--alpha", "1.2", "--beta", "0.5", "--beta-prime", "0.6", "--delta0", "0.3", "--mu", "1e-6"],
+        ["--alpha", "1.05", "--beta", "0.1", "--beta-prime", "0.5", "--delta0", "0.2", "--sigma", "3.5"],
+    ],
+)
+def test_schedule_running_product_ends_at_accumulated_factor(tmp_path, extra):
+    out = tmp_path / "s.csv"
+    assert run(["schedule", *extra, "--output", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    header = next(line for line in lines if line.startswith("# accumulated_factor = "))
+    assert lines[-1].rsplit(",", 1)[1] == header.split(" = ", 1)[1]
+
+
 def test_schedule_rejects_bad_exponents(tmp_path, capsys):
     code = run(["schedule", "--alpha", "1.0", "--output", str(tmp_path / "s.csv")])
     assert code == 2
@@ -326,3 +345,22 @@ def test_unknown_group_exits_two(tmp_path, capsys):
 
 def test_missing_file_exits_two(tmp_path):
     assert run(["constant", "--input", str(tmp_path / "nope.json")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# imports
+
+
+def test_cli_import_skips_signal_and_integrate():
+    import blscales
+
+    src = str(Path(blscales.__file__).resolve().parents[1])
+    probe = (
+        "import sys, blscales.cli; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.integrate') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "[]"

@@ -194,6 +194,22 @@ def test_gaussian_convolution_closed_form():
         assert got == pytest.approx(exact, abs=3e-3)
 
 
+@pytest.mark.parametrize(
+    "sa, sb",
+    [((40,), (257,)), ((1,), (9,)), ((20, 30), (11, 5)), ((1, 30), (11, 1)), ((1, 1), (1, 1)),
+     ((4, 5, 6), (3, 1, 7))],
+)
+def test_fft_convolve_matches_scipy_signal(sa, sb):
+    from scipy.signal import fftconvolve
+
+    from blscales.functional import _fft_convolve
+
+    gen = np.random.default_rng(len(sa) + sa[0])
+    a = gen.random(sa)
+    b = gen.random(sb)
+    assert np.array_equal(_fft_convolve(a, b), fftconvolve(a, b))
+
+
 def test_convolution_length_mismatch():
     f = indicator_tuple(0.0, 1.0)
     g = InputTuple(f.functions[:2])

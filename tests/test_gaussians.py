@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -143,6 +144,22 @@ def test_truncation_closed_form_identity_datum():
         r = delta * math.log(1 / delta)
         assert deficit == pytest.approx(math.exp(-math.pi * r * r), rel=1e-12)
         assert bound == pytest.approx(delta**0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_truncation_tail_matches_mpmath(n):
+    # one map on R^n with block c I: the tail outside radius r is
+    # Q(n/2, pi c r^2); c spreads the whitened radius over about [0.003, 5]
+    for c in np.geomspace(0.01, 200.0, 30):
+        d = BLDatum(n=n, maps=[np.eye(n)], exponents=[1.0])
+        g = GaussianTuple(blocks=[c * np.eye(n)], amplitudes=[1.0])
+        for delta in (0.35, 0.2, 0.1, 0.02):
+            deficit, _ = truncation_deficit(d, g, delta, eta=0.25)
+            r = delta * math.log(1 / delta)
+            with mp.workdps(40):
+                x = mp.pi * c * mp.mpf(r) ** 2
+                exact = mp.gammainc(mp.mpf(n) / 2, x, mp.inf, regularized=True)
+            assert deficit == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_truncation_deficit_shrinks_with_scale(young_datum, young_extremiser):

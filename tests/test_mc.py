@@ -1,8 +1,22 @@
 """Determinism contracts for the chunked generators."""
 
 import numpy as np
+import pytest
 
-from blscales.mc import CHUNK, ball_volume, chunk_generator, iter_chunks, uniform_ball, uniform_box
+from blscales.functional import Box
+from blscales.mc import (
+    CHUNK,
+    ball_volume,
+    chunk_generator,
+    grid_estimate,
+    grid_integral,
+    iter_chunks,
+    monte_carlo,
+    sample_sums,
+    uniform_ball,
+    uniform_box,
+    verdict,
+)
 
 
 def test_same_key_same_numbers():
@@ -60,3 +74,58 @@ def test_ball_volume_known_values():
     assert np.isclose(ball_volume(1, 1.0), 2.0)
     assert np.isclose(ball_volume(2, 1.0), np.pi)
     assert np.isclose(ball_volume(3, 2.0), 4 / 3 * np.pi * 8)
+
+
+def test_verdict_three_sigma_band():
+    assert verdict(0.31, 0.1) == "pass"
+    assert verdict(-0.31, 0.1) == "fail"
+    assert verdict(0.75, 0.25) == "pass"  # the band edge belongs to the verdict
+    assert verdict(-0.75, 0.25) == "fail"
+    assert verdict(0.29, 0.1) == "inconclusive"
+    assert verdict(-0.29, 0.1) == "inconclusive"
+    # an exact estimate decides on the sign of the slack alone
+    assert verdict(0.0, 0.0) == "pass"
+    assert verdict(-1e-300, 0.0) == "fail"
+
+
+def test_grid_estimate_error_is_half_resolution_difference():
+    box = Box([0.0, -1.0], [1.0, 2.0])
+
+    def fn(pts):
+        return np.exp(-pts[:, 0] * pts[:, 1])
+
+    est = grid_estimate(fn, box, 40)
+    fine, _ = grid_integral(fn, box, 40)
+    coarse, _ = grid_integral(fn, box, 20)
+    assert est.value == fine
+    assert est.stderr == abs(fine - coarse)
+    assert est.count == 40**2 + 20**2
+    # a linear integrand is integrated exactly by the midpoint rule
+    lin, frac = grid_integral(lambda pts: pts[:, 0] + pts[:, 1], box, 8)
+    assert lin == pytest.approx(0.5 * 3 + 0.5 * 3, rel=1e-12)
+    assert 0.0 < frac < 1.0
+
+
+def test_monte_carlo_stacked_rows_match_single_rows():
+    lo = np.array([-1.0, 0.0])
+    hi = np.array([1.0, 0.5])
+
+    def draw(gen, size):
+        return uniform_box(gen, size, lo, hi)
+
+    def f(pts):
+        return np.exp(-np.sum(pts * pts, axis=1))
+
+    def g(pts):
+        return 1.0 + pts[:, 0] ** 2
+
+    samples = 2 * CHUNK + 5
+    stacked, _, _, count = sample_sums(lambda p: np.stack([f(p), g(p)]), draw, samples, 4, 9)
+    assert count == samples
+    for row, fn in zip(stacked, (f, g)):
+        total, _, _, _ = sample_sums(fn, draw, samples, 4, 9)
+        assert row == total
+    est = monte_carlo(f, draw, 1.0, samples, 4, 9)
+    assert est.count == samples
+    assert est.value == pytest.approx(stacked[0] / samples, rel=1e-15)
+    assert 0.0 < est.stderr < 0.01

@@ -6,7 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from blscales.functional import GaussianFunction, InputTuple, QuadratureSpec
+from blscales import nonlinear
+from blscales.functional import (
+    Box,
+    GaussianFunction,
+    IndicatorFunction,
+    InputTuple,
+    QuadratureSpec,
+    ZeroMassError,
+)
 from blscales.gaussians import scale_gaussian, solve_extremiser
 from blscales.nonlinear import (
     LinearizationError,
@@ -330,6 +338,40 @@ def test_recursive_step_rejects_far_x(young_datum):
             nd, lp, f, np.array([[1.0, 0.0]]), QuadratureSpec(resolution=64),
             alpha=1.5, beta=0.3, beta_prime=0.4,
         )
+
+
+def test_recursive_step_absorbs_only_zero_mass(young_datum, monkeypatch):
+    nd = registry("linear", datum=young_datum)
+    lp = LocalizedProblem(center=(0.0, 0.0), delta=0.05, mu=1e-6, kappa=2.0)
+    f = scaled_extremiser_inputs(nd, 0.05)
+    x_grid = np.array([[0.0, 0.0], [0.05, -0.04]])
+    q = QuadratureSpec(resolution=64)
+    original = nonlinear.localized_ratio
+
+    def failing(error):
+        def ratio(nd, lp, f, q, certify=True, _stream_base=0):
+            if _stream_base == 1100:  # the fine-scale ratio at x_grid[1]
+                raise error
+            return original(nd, lp, f, q, certify=certify, _stream_base=_stream_base)
+
+        return ratio
+
+    monkeypatch.setattr(nonlinear, "localized_ratio", failing(ZeroMassError("empty")))
+    rep = recursive_step_check(nd, lp, f, x_grid, q, alpha=1.5, beta=0.3, beta_prime=0.4)
+    assert rep.entries[1].ratio == 0.0 and rep.entries[1].stderr == 0.0
+    assert rep.max_ratio == rep.entries[0].ratio
+
+    monkeypatch.setattr(nonlinear, "localized_ratio", failing(ValueError("not a mass")))
+    with pytest.raises(ValueError, match="not a mass"):
+        recursive_step_check(nd, lp, f, x_grid, q, alpha=1.5, beta=0.3, beta_prime=0.4)
+
+
+def test_localized_ratio_zero_mass_error(young_datum):
+    nd = registry("linear", datum=young_datum)
+    lp = LocalizedProblem(center=(0.0, 0.0), delta=0.05, mu=1e-6, kappa=2.0)
+    f = InputTuple([IndicatorFunction(Box([-1.0], [1.0]), height=0.0)] * 3)
+    with pytest.raises(ZeroMassError):
+        localized_ratio(nd, lp, f, QuadratureSpec(resolution=16), certify=False)
 
 
 # ---------------------------------------------------------------------------
