@@ -133,13 +133,13 @@ def cmd_finiteness(args) -> int:
     return 0
 
 
-def _build_inputs(datum: BLDatum, kind: str, args) -> InputTuple:
+def _gaussian_inputs(g) -> InputTuple:
+    return InputTuple([GaussianFunction(A, c) for A, c in zip(g.blocks, g.amplitudes)])
+
+
+def _build_inputs(datum: BLDatum, kind: str) -> InputTuple:
     if kind == "extremiser":
-        res = solve_extremiser(datum)
-        g = res.gaussians
-        return InputTuple(
-            [GaussianFunction(A, c) for A, c in zip(g.blocks, g.amplitudes)]
-        )
+        return _gaussian_inputs(solve_extremiser(datum).gaussians)
     if kind == "gaussian-iso":
         return InputTuple(
             [GaussianFunction(np.eye(nj)) for nj in datum.codims]
@@ -153,7 +153,7 @@ def _build_inputs(datum: BLDatum, kind: str, args) -> InputTuple:
 
 def cmd_functional(args) -> int:
     datum = load_datum(args.input)
-    inputs = _build_inputs(datum, args.inputs, args)
+    inputs = _build_inputs(datum, args.inputs)
     value, err = bl_functional(datum, inputs, _quad(args))
     out = {
         "value": value,
@@ -170,10 +170,7 @@ def cmd_functional(args) -> int:
 def cmd_ball_check(args) -> int:
     datum = load_datum(args.input)
     res = solve_extremiser(datum)
-    g = res.gaussians
-    gauss = InputTuple(
-        [GaussianFunction(A, c) for A, c in zip(g.blocks, g.amplitudes)]
-    )
+    gauss = _gaussian_inputs(res.gaussians)
     if args.inputs == "indicator":
         f = InputTuple(
             [
@@ -181,8 +178,10 @@ def cmd_ball_check(args) -> int:
                 for nj in datum.codims
             ]
         )
+    elif args.inputs == "extremiser":
+        f = gauss
     else:
-        f = _build_inputs(datum, args.inputs, args)
+        f = _build_inputs(datum, args.inputs)
     x_grid = np.zeros((1, datum.n))
     report = ball_inequality_check(
         datum, f, gauss, x_grid, _quad(args), near_extremiser=res.converged
@@ -204,20 +203,16 @@ def cmd_nonlinear(args) -> int:
     )
     q = _quad(args)
     ext = solve_extremiser(nd.linearize(u))
-    g = scale_gaussian(ext.gaussians, args.delta0)
-    f = InputTuple(
-        [GaussianFunction(A, c) for A, c in zip(g.blocks, g.amplitudes)]
-    )
+    f = _gaussian_inputs(scale_gaussian(ext.gaussians, args.delta0))
     if args.mode == "base":
         report = base_case_check(nd, lp, f, q, args.alpha, args.beta_prime)
-        out = report.to_json()
     else:
         r = localization_radius(args.delta0)
         x_grid = np.vstack([u, u + r * np.eye(nd.n)[0]])
         report = recursive_step_check(
             nd, lp, f, x_grid, q, args.alpha, args.beta, args.beta_prime
         )
-        out = report.to_json()
+    out = report.to_json()
     out["group"] = args.group
     out["mode"] = args.mode
     out["delta"] = args.delta0
@@ -232,11 +227,10 @@ def cmd_young_lie(args) -> int:
     deltas = [float(tok) for tok in args.deltas.split(",") if tok.strip()]
     if not deltas:
         raise ValueError("no scales supplied")
-    q = QuadratureSpec(method=args.method, resolution=args.resolution, seed=args.seed)
     table = lie_group_young(
         args.group,
         deltas,
-        q=q,
+        q=_quad(args),
         mu=args.mu,
         kappa=args.kappa,
         workers=_threads(),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -190,8 +190,19 @@ def criterion_slack(datum: BLDatum, basis: np.ndarray) -> float:
     return total - k
 
 
+class Report:
+    """Base of the check reports, whose JSON artifact is their fields.
+
+    Numpy arrays and scalars are left in place for the JSON writer's
+    `default` hook to convert.
+    """
+
+    def to_json(self) -> dict:
+        return asdict(self)
+
+
 @dataclass
-class FinitenessReport:
+class FinitenessReport(Report):
     scaling_ok: bool
     scaling_residual: float
     subspace_ok: bool
@@ -203,19 +214,10 @@ class FinitenessReport:
     subspaces_checked: int
 
     def to_json(self) -> dict:
-        out = {
-            "scaling_ok": self.scaling_ok,
-            "scaling_residual": self.scaling_residual,
-            "subspace_ok": self.subspace_ok,
-            "violating_subspace": None
-            if self.violating_subspace is None
-            else [list(row) for row in np.asarray(self.violating_subspace)],
-            "simple": self.simple,
-            "checked_family": self.checked_family,
-            "slack": None if math.isinf(self.slack) else self.slack,
-            "certified": self.certified,
-            "subspaces_checked": self.subspaces_checked,
-        }
+        out = super().to_json()
+        # slack is inf when no proper subspace was checked, and inf is not JSON
+        if math.isinf(self.slack):
+            out["slack"] = None
         return out
 
 

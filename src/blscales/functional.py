@@ -25,7 +25,7 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.optimize import linprog
 
 from . import mc
-from .datum import BLDatum, DatumError, validate_datum
+from .datum import BLDatum, DatumError, Report, validate_datum
 
 BOUNDARY_MASS_LIMIT = 0.01
 
@@ -522,7 +522,7 @@ def convolve_inputs(f: InputTuple, g: InputTuple, q: QuadratureSpec) -> InputTup
 
 
 @dataclass
-class BallCheckReport:
+class BallCheckReport(Report):
     bl_f: float
     bl_g: float
     bl_conv: float
@@ -536,24 +536,6 @@ class BallCheckReport:
     h_values: list
     skipped_x: int
     extremiser_consequences: Optional[dict]
-
-    def to_json(self) -> dict:
-        out = {
-            "bl_f": self.bl_f,
-            "bl_g": self.bl_g,
-            "bl_conv": self.bl_conv,
-            "bl_h_max": self.bl_h_max,
-            "argmax_x": list(map(float, np.atleast_1d(self.argmax_x))),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "stderr": self.stderr,
-            "verdict": self.verdict,
-            "h_values": self.h_values,
-            "skipped_x": self.skipped_x,
-            "extremiser_consequences": self.extremiser_consequences,
-        }
-        return out
 
 
 def ball_inequality_check(

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import gammaincc
 
-from .datum import BLDatum, DatumError, validate_datum
+from .datum import BLDatum, DatumError, Report, validate_datum
 
 SYM_RTOL = 1e-12
 EIG_FLOOR = 1e-12
@@ -123,7 +123,7 @@ def gaussian_bl_value(datum: BLDatum, g: GaussianTuple) -> float:
 
 
 @dataclass
-class ExtremiserResult:
+class ExtremiserResult(Report):
     gaussians: GaussianTuple
     bl_value: float
     iterations: int
@@ -132,15 +132,9 @@ class ExtremiserResult:
     status: str
 
     def to_json(self) -> dict:
-        return {
-            "blocks": [[list(map(float, row)) for row in A] for A in self.gaussians.blocks],
-            "amplitudes": [float(c) for c in self.gaussians.amplitudes],
-            "bl_value": float(self.bl_value),
-            "iterations": int(self.iterations),
-            "residual": float(self.residual),
-            "converged": bool(self.converged),
-            "status": self.status,
-        }
+        out = super().to_json()
+        out.update(out.pop("gaussians"))  # blocks and amplitudes at the top
+        return out
 
 
 def _spd_log(A: np.ndarray) -> np.ndarray:

@@ -20,6 +20,10 @@ import numpy as np
 
 CHUNK = 1 << 16
 
+# largest tensor grid a walk accepts: half a minute at the ~4e6 points/s of a
+# 2-core Xeon
+MAX_GRID_POINTS = 1 << 27
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -89,9 +93,18 @@ class Estimate:
 
 def grid_points(axes) -> Iterator[tuple]:
     """Chunks (flat indices, per-axis indices, points) of the tensor grid
-    over `axes`, in C order."""
+    over `axes`, in C order.
+
+    A grid of more than MAX_GRID_POINTS points raises ValueError before the
+    first chunk, since its walk could not finish in reasonable time.
+    """
     shape = tuple(len(a) for a in axes)
     npts = math.prod(shape)
+    if npts > MAX_GRID_POINTS:
+        raise ValueError(
+            f"tensor grid of {npts:.3g} points exceeds the limit of "
+            f"{MAX_GRID_POINTS:.3g}; lower --resolution or use --method monte-carlo"
+        )
     chunk = max(CHUNK // max(len(axes), 1), 1)
     for start in range(0, npts, chunk):
         idx = np.arange(start, min(start + chunk, npts))

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import mc
-from .datum import BLDatum, FinitenessReport, finiteness_check, validate_datum
+from .datum import BLDatum, FinitenessReport, Report, finiteness_check, validate_datum
 from .functional import (
     Box,
     CallableFunction,
@@ -32,7 +32,6 @@ from .functional import (
     product_input,
 )
 from .gaussians import (
-    ExtremiserResult,
     GaussianTuple,
     scale_gaussian,
     solve_extremiser,
@@ -441,7 +440,7 @@ def localized_ratio(
 
 
 @dataclass
-class BaseCaseReport:
+class BaseCaseReport(Report):
     ratio: float
     stderr: float
     bl_linear: float
@@ -452,21 +451,6 @@ class BaseCaseReport:
     linearization_dev: float
     dev_bound: float
     threshold: float
-    extremiser: ExtremiserResult
-
-    def to_json(self) -> dict:
-        return {
-            "ratio": self.ratio,
-            "stderr": self.stderr,
-            "bl_linear": self.bl_linear,
-            "kappa_sigma": self.kappa_sigma,
-            "bound": self.bound,
-            "slack": self.slack,
-            "verdict": self.verdict,
-            "linearization_dev": self.linearization_dev,
-            "dev_bound": self.dev_bound,
-            "threshold": self.threshold,
-        }
 
 
 def base_case_check(
@@ -476,7 +460,6 @@ def base_case_check(
     q: QuadratureSpec,
     alpha: float,
     beta_prime: float,
-    solver_tol: float = 1e-10,
 ) -> BaseCaseReport:
     """Verify C(u, delta, mu, kappa) <= kappa^sigma BL(dB(u), p) in the base
     regime delta^(alpha+beta') <= mu.
@@ -508,7 +491,7 @@ def base_case_check(
         )
 
     ratio, err = localized_ratio(nd, lp, f, q, certify=True)
-    ext = solve_extremiser(nd.linearize(lp.u), tol=solver_tol)
+    ext = solve_extremiser(nd.linearize(lp.u))
     kappa_sigma = lp.kappa**nd.sigma
     bound = kappa_sigma * ext.bl_value
     slack = bound - ratio
@@ -523,7 +506,6 @@ def base_case_check(
         linearization_dev=dev,
         dev_bound=dev_bound,
         threshold=threshold,
-        extremiser=ext,
     )
 
 
@@ -539,7 +521,7 @@ class RecursiveEntry:
 
 
 @dataclass
-class RecursiveReport:
+class RecursiveReport(Report):
     lhs: float
     lhs_err: float
     max_ratio: float
@@ -554,30 +536,6 @@ class RecursiveReport:
     delta_fine: float
     kappa_fine: float
 
-    def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "lhs_err": self.lhs_err,
-            "max_ratio": self.max_ratio,
-            "argmax_x": list(map(float, np.atleast_1d(self.argmax_x))),
-            "rhs": self.rhs,
-            "rhs_err": self.rhs_err,
-            "slack": self.slack,
-            "verdict": self.verdict,
-            "equality_gap": self.equality_gap,
-            "entries": [
-                {
-                    "x": list(map(float, np.atleast_1d(e.x))),
-                    "ratio": e.ratio,
-                    "stderr": e.stderr,
-                }
-                for e in self.entries
-            ],
-            "certifications": self.certifications,
-            "delta_fine": self.delta_fine,
-            "kappa_fine": self.kappa_fine,
-        }
-
 
 def recursive_step_check(
     nd: NonlinearDatum,
@@ -588,8 +546,6 @@ def recursive_step_check(
     alpha: float,
     beta: float,
     beta_prime: float,
-    solver_tol: float = 1e-10,
-    certify_kernels: bool = True,
 ) -> RecursiveReport:
     """Verify the recursive inequality
 
@@ -626,7 +582,7 @@ def recursive_step_check(
     radius_fine = localization_radius(delta_fine)
     bump = math.exp(lp.delta**beta)
     kappa_fine = lp.kappa * bump
-    ext = solve_extremiser(nd.linearize(lp.u), tol=solver_tol)
+    ext = solve_extremiser(nd.linearize(lp.u))
     g_scaled = scale_gaussian(ext.gaussians, delta_fine)
 
     entries = []
@@ -641,48 +597,31 @@ def recursive_step_check(
             kernel = GaussianFunction(
                 g_scaled.blocks[j], g_scaled.amplitudes[j], center=lj_x
             )
-            if certify_kernels:
-                krep = is_kappa_constant(
-                    kernel,
-                    image_sampler(s, x, 2.0 * radius_fine),
-                    lp.mu,
-                    bump,
-                    samples=4096,
-                    seed=q.seed,
-                    stream=500 + 10 * ix + j,
-                )
-                certifications.append(
-                    {
-                        "x_index": ix,
-                        "input": j,
-                        "kind": "kernel",
-                        "level": bump,
-                        "ok": krep.ok,
-                        "worst_ratio": krep.worst_ratio,
-                    }
-                )
             hj = product_input(fj, kernel)
             if hj is None:
                 hj = CallableFunction(lambda pts: np.zeros(len(np.atleast_2d(pts))), kernel.box)
             hs.append(hj)
-            if certify_kernels:
-                prep = is_kappa_constant(
-                    hj,
+            for kind, fn, level, stream in (
+                ("kernel", kernel, bump, 500),
+                ("product", hj, kappa_fine, 900),
+            ):
+                rep = is_kappa_constant(
+                    fn,
                     image_sampler(s, x, 2.0 * radius_fine),
                     lp.mu,
-                    kappa_fine,
+                    level,
                     samples=4096,
                     seed=q.seed,
-                    stream=900 + 10 * ix + j,
+                    stream=stream + 10 * ix + j,
                 )
                 certifications.append(
                     {
                         "x_index": ix,
                         "input": j,
-                        "kind": "product",
-                        "level": kappa_fine,
-                        "ok": prep.ok,
-                        "worst_ratio": prep.worst_ratio,
+                        "kind": kind,
+                        "level": level,
+                        "ok": rep.ok,
+                        "worst_ratio": rep.worst_ratio,
                     }
                 )
         lp_fine = LocalizedProblem(
@@ -730,7 +669,7 @@ def recursive_step_check(
 
 
 @dataclass
-class PerturbationReport:
+class PerturbationReport(Report):
     lhs: float
     rhs: float
     allowed: float
@@ -739,18 +678,6 @@ class PerturbationReport:
     l1_diff: float
     l1_bound: float
     gamma: float
-
-    def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "allowed": self.allowed,
-            "slack": self.slack,
-            "verdict": self.verdict,
-            "l1_diff": self.l1_diff,
-            "l1_bound": self.l1_bound,
-            "gamma": self.gamma,
-        }
 
 
 def perturbation_check(
@@ -762,7 +689,6 @@ def perturbation_check(
     alpha: float,
     beta_prime: float,
     gamma: Optional[float] = None,
-    solver_tol: float = 1e-10,
 ) -> PerturbationReport:
     """Compare the recentred linearization against the affine comparison maps:
 
@@ -785,7 +711,7 @@ def perturbation_check(
     if not (beta_prime < gamma < 2.0 - alpha):
         raise ValueError("gamma must lie strictly between beta' and 2 - alpha")
 
-    ext = solve_extremiser(nd.linearize(u), tol=solver_tol)
+    ext = solve_extremiser(nd.linearize(u))
     delta_fine = delta**alpha
     g = scale_gaussian(ext.gaussians, delta_fine)
     jac = [np.atleast_2d(s.jacobian(u)) for s in nd.submersions]
@@ -1127,7 +1053,6 @@ def lie_group_young(
     q: Optional[QuadratureSpec] = None,
     mu: float = 1e-4,
     kappa: float = 1.5,
-    solver_tol: float = 1e-10,
     workers: int = 1,
 ) -> dict:
     """Localized convolution-inequality ratios on a group at shrinking scales.
@@ -1142,7 +1067,7 @@ def lie_group_young(
     nd = registry(group, exponents=exponents)
     if q is None:
         q = QuadratureSpec(method="monte-carlo", resolution=200000)
-    ext = solve_extremiser(nd.linearize(), tol=solver_tol)
+    ext = solve_extremiser(nd.linearize())
     d = nd.submersions[0](np.zeros((1, nd.n))).shape[1]
     bound = young_constant(nd.exponents, d)
     order = sorted(deltas, reverse=True)

@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from blscales import cli
 from blscales.cli import main
 from blscales.datum import BLDatum, save_datum
 from conftest import young_maps
@@ -186,6 +188,23 @@ def test_ball_check_indicator(young_file, tmp_path):
     assert doc["extremiser_consequences"] is not None
 
 
+def test_ball_check_extremiser_inputs_solve_once(young_file, tmp_path, monkeypatch):
+    calls = []
+    solve = cli.solve_extremiser
+
+    def counting(*a, **kw):
+        calls.append(1)
+        return solve(*a, **kw)
+
+    monkeypatch.setattr(cli, "solve_extremiser", counting)
+    argv = [
+        "ball-check", "--input", young_file, "--inputs", "extremiser",
+        "--method", "monte-carlo", "--resolution", "2000",
+    ]
+    assert run(argv + ["--output", str(tmp_path / "b.json")]) == 0
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # nonlinear checks
 
@@ -219,6 +238,17 @@ def test_nonlinear_base_mode(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["verdict"] == "pass"
     assert doc["ratio"] < doc["bound"]
+
+
+def test_nonlinear_refuses_unfinishable_grid(tmp_path, capsys):
+    # the default tensor grid in n = 6 holds 256^6 points: refused up front
+    out = tmp_path / "r.json"
+    start = time.perf_counter()
+    code = run(["nonlinear", "--group", "young-heisenberg", "--output", str(out)])
+    assert code == 2
+    assert time.perf_counter() - start < 1.0
+    assert "monte-carlo" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_nonlinear_wrong_regime_exits_one(tmp_path):

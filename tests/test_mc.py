@@ -6,10 +6,12 @@ import pytest
 from blscales.functional import Box
 from blscales.mc import (
     CHUNK,
+    MAX_GRID_POINTS,
     ball_volume,
     chunk_generator,
     grid_estimate,
     grid_integral,
+    grid_points,
     iter_chunks,
     monte_carlo,
     sample_sums,
@@ -86,6 +88,15 @@ def test_verdict_three_sigma_band():
     # an exact estimate decides on the sign of the slack alone
     assert verdict(0.0, 0.0) == "pass"
     assert verdict(-1e-300, 0.0) == "fail"
+
+
+def test_grid_walk_refuses_oversized_grid():
+    side = np.zeros(1 << 9)
+    assert len(side) ** 3 == MAX_GRID_POINTS
+    idx, _, pts = next(grid_points([side] * 3))
+    assert idx[0] == 0 and pts.shape[1] == 3
+    with pytest.raises(ValueError, match="monte-carlo"):
+        next(grid_points([side] * 3 + [np.zeros(2)]))
 
 
 def test_grid_estimate_error_is_half_resolution_difference():
