@@ -16,13 +16,10 @@ and Poisson-kernel smoothing with a certified constancy modulus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
-from scipy.interpolate import RegularGridInterpolator
-from scipy.optimize import linprog
 
 from . import mc
 from .datum import BLDatum, DatumError, Report, validate_datum
@@ -146,7 +143,11 @@ class GaussianFunction:
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
         dx = pts - self.center
-        q = np.einsum("ni,ij,nj->n", dx, self.A, dx)
+        if dx.shape[1] >= 2:
+            q = np.einsum("ni,ni->n", dx @ self.A, dx)
+        else:
+            # three-operand form: faster for one dimension
+            q = np.einsum("ni,ij,nj->n", dx, self.A, dx)
         return self.amplitude * np.exp(-math.pi * q)
 
     @property
@@ -221,6 +222,8 @@ class SampledFunction:
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         if self._interp is None:
+            from scipy.interpolate import RegularGridInterpolator
+
             self._interp = RegularGridInterpolator(
                 self.axes,
                 self.values,
@@ -368,6 +371,8 @@ def auto_domain(datum: BLDatum, boxes: Sequence[Box]) -> Optional[Box]:
     identically).  Raises when it is unbounded, which happens exactly when the
     maps share a common kernel direction.
     """
+    from scipy.optimize import linprog
+
     rows = []
     ubs = []
     for L, box in zip(datum.maps, boxes):
@@ -482,6 +487,8 @@ def _sample_on_grid(fn, h: np.ndarray) -> SampledFunction:
 def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution of two real arrays by real FFTs padded to fast
     lengths.  Axes of length 1 in either array are broadcast, not transformed."""
+    from scipy.fft import irfftn, next_fast_len, rfftn
+
     axes = [i for i in range(a.ndim) if a.shape[i] > 1 and b.shape[i] > 1]
     if not axes:
         return a * b

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .datum import BLDatum, DatumError, Report, validate_datum
 
@@ -284,6 +283,8 @@ def truncation_deficit(
         raise ValueError("delta must lie in (0, 1/e)")
     if not (0.0 < eta):
         raise ValueError("eta must be positive")
+    from scipy.special import gammaincc
+
     M = compute_M(datum, g)
     w = _check_M(M)
     n = datum.n

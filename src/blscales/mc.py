@@ -7,8 +7,10 @@ pure function of (seed, stream, sample count): it does not depend on
 evaluation order, chunking of the outer loop, or worker count.
 
 Every integral in the package is estimated here: `grid_points` is the one
-walk over a tensor grid, `sample_sums` the one monte-carlo accumulator, and
-`verdict` the one rule that turns a slack and its error into pass / fail.
+walk over a tensor grid, `sample_sums` the one monte-carlo accumulator,
+`monte_carlo` and `gaussian_importance` the uniform and the importance-sampled
+estimates, and `verdict` the one rule that turns a slack and its error into
+pass / fail.
 """
 from __future__ import annotations
 
@@ -25,6 +27,9 @@ CHUNK = 1 << 16
 MAX_GRID_POINTS = 1 << 27
 
 _MASK64 = (1 << 64) - 1
+
+# relative floor on a monte-carlo standard error: the float rounding of a mean
+ROUNDING = 16.0 * np.finfo(float).eps
 
 
 def chunk_generator(seed: int, stream: int, chunk_index: int) -> np.random.Generator:
@@ -169,13 +174,48 @@ def sample_sums(fn, draw, samples: int, seed: int, stream: int, outside=None) ->
 def monte_carlo(
     fn, draw, volume: float, samples: int, seed: int, stream: int, outside=None
 ) -> Estimate:
-    """Mean-value estimate of the integral of fn over a region of the given
-    volume, from uniform points draw(gen, size) of that region."""
+    """Mean-value estimate: volume times the mean of fn over the points
+    draw(gen, size).  With uniform points of a region of that volume it
+    estimates the integral of fn over the region.
+
+    The standard error is floored at the float rounding of the value,
+    16 eps |value|: an integrand that is constant on its samples has no
+    sampling error, but a verdict on it must not become an exact float
+    comparison.
+    """
     total, totsq, boundary, count = sample_sums(fn, draw, samples, seed, stream, outside)
     mean = total / count
     var = max(totsq / count - mean * mean, 0.0)
     frac = float(boundary / total) if total > 0 else 0.0
-    return Estimate(float(volume * mean), volume * math.sqrt(var / count), count, frac)
+    value = float(volume * mean)
+    stderr = max(volume * math.sqrt(var / count), ROUNDING * abs(value))
+    return Estimate(value, stderr, count, frac)
+
+
+def gaussian_importance(
+    fn, mean: np.ndarray, precision: np.ndarray, samples: int, seed: int, stream: int
+) -> Estimate:
+    """Importance-sampled estimate of the integral of fn over R^d.
+
+    Points x = m + (2 pi M)^{-1/2} z, z standard normal, are drawn through the
+    Cholesky factor of the precision M; their density is
+    phi(x) = sqrt(det M) exp(-pi <M(x - m), x - m>) = sqrt(det M) exp(-|z|^2 / 2),
+    and the estimate is the mean of fn(x) / phi(x).  It is unbiased wherever
+    phi > 0, so fn may carry an indicator of the region of integration.
+    Raises numpy.linalg.LinAlgError unless M is positive definite.
+    """
+    chol = np.linalg.cholesky(precision)
+    # rows: x = m + z @ root, so that cov(x) = root^T root = (2 pi M)^{-1}
+    root = np.linalg.inv(chol) / math.sqrt(2.0 * math.pi)
+    root_det = float(np.prod(np.diag(chol)))
+    dim = root.shape[0]
+
+    def weight(z):
+        return fn(mean + z @ root) * np.exp(0.5 * np.einsum("ni,ni->n", z, z)) / root_det
+
+    return monte_carlo(
+        weight, lambda gen, size: gen.standard_normal((size, dim)), 1.0, samples, seed, stream
+    )
 
 
 def verdict(slack: float, sigma: float) -> str:

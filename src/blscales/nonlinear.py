@@ -31,12 +31,7 @@ from .functional import (
     integrate_function,
     product_input,
 )
-from .gaussians import (
-    GaussianTuple,
-    scale_gaussian,
-    solve_extremiser,
-    young_constant,
-)
+from .gaussians import scale_gaussian, solve_extremiser, young_constant
 
 FD_SLACK = 1e-8
 
@@ -346,7 +341,7 @@ def certify_inputs(
 def _in_ball(fn, center: np.ndarray, radius_sq: float) -> Callable:
     """fn on the closed ball of squared radius `radius_sq`, zero outside: the
     integrand of a ball integral taken by grid quadrature over its bounding
-    box."""
+    box, or by importance sampling over the whole space."""
 
     def masked(pts):
         inside = np.sum((pts - center) ** 2, axis=1) <= radius_sq
@@ -358,6 +353,28 @@ def _in_ball(fn, center: np.ndarray, radius_sq: float) -> Callable:
     return masked
 
 
+def _linearized_gaussian(nd: NonlinearDatum, funcs: Sequence, center: np.ndarray):
+    """Mean and precision (m, M) of the gaussian prod_j f_j(B_j(c) + J_j(x - c))^{p_j}
+    for gaussian inputs f_j with blocks A_j, the integrand with each B_j
+    replaced by its linearization at the centre c, J_j = dB_j(c): with
+    e_j = B_j(c) - J_j c - center_j, M = sum_j p_j J_j^T A_j J_j and
+    m = -M^{-1} sum_j p_j J_j^T A_j e_j.  Returns None when M is not
+    positive definite."""
+    M = np.zeros((nd.n, nd.n))
+    b = np.zeros(nd.n)
+    for p, s, fj in zip(nd.exponents, nd.submersions, funcs):
+        if p == 0.0:
+            continue
+        J = np.atleast_2d(s.jacobian(center))
+        e = s(center[None, :])[0] - J @ center - fj.center
+        JtA = J.T @ fj.A
+        M += p * JtA @ J
+        b += p * JtA @ e
+    if not np.all(np.linalg.eigvalsh(M) > 0.0):
+        return None
+    return -np.linalg.solve(M, b), M
+
+
 def _ball_pullback_integral(
     nd: NonlinearDatum,
     funcs: Sequence,
@@ -366,7 +383,12 @@ def _ball_pullback_integral(
     q: QuadratureSpec,
     stream: int,
 ) -> tuple:
-    """Integral of prod (f_j o B_j)^{p_j} over the ball, with an error term."""
+    """Integral of prod (f_j o B_j)^{p_j} over the ball, with an error term.
+
+    Under monte-carlo, gaussian inputs are importance-sampled from the
+    gaussian of the datum linearized at the centre, which carries nearly all
+    of the integrand; other inputs are sampled uniformly on the ball.
+    """
 
     def values(pts):
         vals = np.ones(pts.shape[0])
@@ -376,7 +398,20 @@ def _ball_pullback_integral(
             vals *= fj(s(pts)) ** p
         return vals
 
-    if q.method == "monte-carlo":
+    proposal = None
+    if q.method == "monte-carlo" and all(isinstance(fj, GaussianFunction) for fj in funcs):
+        proposal = _linearized_gaussian(nd, funcs, center)
+    if proposal is not None:
+        mean, precision = proposal
+        est = mc.gaussian_importance(
+            _in_ball(values, center, radius * radius),
+            mean,
+            precision,
+            q.resolution,
+            q.seed,
+            stream,
+        )
+    elif q.method == "monte-carlo":
         est = mc.monte_carlo(
             values,
             lambda gen, size: mc.uniform_ball(gen, size, center, radius),

@@ -394,3 +394,16 @@ def test_cli_import_skips_signal_and_integrate():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_skips_fft_interpolate_optimize_and_special():
+    import blscales
+
+    src = str(Path(blscales.__file__).resolve().parents[1])
+    lazy = ("scipy.fft", "scipy.interpolate", "scipy.optimize", "scipy.special")
+    probe = f"import sys, blscales.cli; print(sorted(m for m in {lazy!r} if m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "[]"

@@ -7,8 +7,10 @@ from blscales.functional import Box
 from blscales.mc import (
     CHUNK,
     MAX_GRID_POINTS,
+    ROUNDING,
     ball_volume,
     chunk_generator,
+    gaussian_importance,
     grid_estimate,
     grid_integral,
     grid_points,
@@ -140,3 +142,43 @@ def test_monte_carlo_stacked_rows_match_single_rows():
     assert est.count == samples
     assert est.value == pytest.approx(stacked[0] / samples, rel=1e-15)
     assert 0.0 < est.stderr < 0.01
+
+
+def test_monte_carlo_stderr_floor_on_constant_integrand():
+    lo = np.zeros(2)
+    hi = np.array([2.0, 1.0])
+    est = monte_carlo(
+        lambda p: np.ones(len(p)), lambda gen, size: uniform_box(gen, size, lo, hi),
+        2.0, 5000, 0, 1,
+    )
+    assert est.value == pytest.approx(2.0, rel=1e-15)
+    assert isinstance(est.stderr, float)
+    assert est.stderr > 0.0
+    assert est.stderr == ROUNDING * est.value
+    assert verdict(est.value - 2.0, est.stderr) == "inconclusive"
+
+
+def test_gaussian_importance_integrates_gaussians():
+    precision = np.array([[2.0, 0.5], [0.5, 1.0]])
+    mean = np.array([0.3, -0.2])
+    mass = 1.0 / np.sqrt(np.linalg.det(precision))
+
+    def proposal_shaped(pts):
+        dx = pts - mean
+        return 3.0 * np.exp(-np.pi * np.einsum("ni,ij,nj->n", dx, precision, dx))
+
+    est = gaussian_importance(proposal_shaped, mean, precision, 20000, 2, 5)
+    assert est.count == 20000
+    assert est.value == pytest.approx(3.0 * mass, rel=1e-12)
+    assert 0.0 < est.stderr <= 1e-12
+
+    # another gaussian: unbiased within its error, and replayable
+    wide = np.eye(2)
+
+    def other(pts):
+        return np.exp(-np.pi * np.einsum("ni,ij,nj->n", pts, wide, pts))
+
+    est = gaussian_importance(other, mean, precision, 2 * CHUNK + 7, 2, 5)
+    assert abs(est.value - 1.0) <= 4.0 * est.stderr
+    assert est.stderr < 0.01
+    assert gaussian_importance(other, mean, precision, 2 * CHUNK + 7, 2, 5) == est

@@ -9,13 +9,14 @@ import pytest
 from blscales import nonlinear
 from blscales.functional import (
     Box,
+    CallableFunction,
     GaussianFunction,
     IndicatorFunction,
     InputTuple,
     QuadratureSpec,
     ZeroMassError,
 )
-from blscales.gaussians import scale_gaussian, solve_extremiser
+from blscales.gaussians import scale_gaussian, solve_extremiser, truncation_deficit
 from blscales.nonlinear import (
     LinearizationError,
     LocalizedProblem,
@@ -244,6 +245,53 @@ def test_localized_problem_validation():
     assert base.regime(1.5, 0.4) == "base"
     with pytest.raises(ValueError):
         localization_radius(1.0)
+
+
+def _young_plane_ratio(inputs, q):
+    nd = registry("young-euclidean-1")
+    lp = LocalizedProblem(center=(0.0, 0.0), delta=0.2, mu=1e-4, kappa=1.5)
+    return localized_ratio(nd, lp, inputs, q, certify=False)
+
+
+def test_localized_ratio_importance_sampled_matches_grid():
+    nd = registry("young-euclidean-1")
+    f = scaled_extremiser_inputs(nd, 0.2)
+    grid, _ = _young_plane_ratio(f, QuadratureSpec(resolution=1024))
+    ratio, err = _young_plane_ratio(
+        f, QuadratureSpec(method="monte-carlo", resolution=200_000, seed=1)
+    )
+    assert grid == pytest.approx(0.8636604, abs=1e-6)
+    assert abs(ratio - grid) <= 4.0 * err
+    # uniform sampling of the ball gives 3.4e-3 here
+    assert err <= 3e-4
+    # the ball misses at most the truncation deficit of the mass
+    lin = nd.linearize()
+    g = scale_gaussian(solve_extremiser(lin).gaussians, 0.2)
+    deficit, _ = truncation_deficit(lin, g, 0.2, eta=0.4 / 1.5)
+    assert ROOT3_OVER_2 * (1.0 - deficit) <= ratio <= ROOT3_OVER_2
+
+
+def test_localized_ratio_importance_sampled_heisenberg():
+    row = lie_group_young(
+        "young-heisenberg",
+        deltas=[0.05],
+        q=QuadratureSpec(method="monte-carlo", resolution=200_000, seed=1),
+    )["rows"][0]
+    # uniform sampling of the ball gives a standard error of 0.029 here
+    assert abs(row.ratio - 0.75**1.5) <= 1e-4
+    assert row.stderr <= 1e-4
+
+
+def test_localized_ratio_callable_inputs_sample_the_ball_uniformly():
+    nd = registry("young-euclidean-1")
+    f = scaled_extremiser_inputs(nd, 0.2)
+    wrapped = InputTuple(
+        [CallableFunction(fj, fj.box, mass=fj.exact_mass) for fj in f.functions]
+    )
+    ratio, err = _young_plane_ratio(
+        wrapped, QuadratureSpec(method="monte-carlo", resolution=200_000, seed=1)
+    )
+    assert (ratio, err) == (0.8614612265381897, 0.003393603629245855)
 
 
 # ---------------------------------------------------------------------------
