@@ -6,7 +6,10 @@ box far out in their tails).  The functional
     BL(L, p; f) = int prod_j (f_j o L_j)^{p_j} / prod_j (int f_j)^{p_j}
 
 is evaluated by tensor-grid midpoint quadrature or by deterministic Monte
-Carlo.  The module also provides the convolution of input tuples, a numerical
+Carlo.  `estimate` (which estimator), `pullback` (which integrand), `masses`
+and `quotient` (how a ratio and its error are formed) are the one integral
+and ratio path; `nonlinear` forms its localized ratios through them as well.
+The module also provides the convolution of input tuples, a numerical
 check of the convolution inequality
 
     BL(f) BL(g) <= sup_x BL(h^x) BL(f*g),   h_j^x(z) = f_j(z) g_j(L_j x - z),
@@ -25,6 +28,9 @@ from . import mc
 from .datum import BLDatum, DatumError, Report, validate_datum
 
 BOUNDARY_MASS_LIMIT = 0.01
+
+# half-width of a gaussian's nominal support box, in standard deviations
+RADIUS_SIGMAS = 10.0
 
 
 class ZeroMassError(ValueError):
@@ -125,7 +131,7 @@ class GaussianFunction:
 
     compact_support = False
 
-    def __init__(self, A, amplitude=None, center=None, radius_sigmas: float = 10.0):
+    def __init__(self, A, amplitude=None, center=None):
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
         d = self.A.shape[0]
         self.center = (
@@ -136,8 +142,7 @@ class GaussianFunction:
             raise ValueError("gaussian block must be positive definite")
         self.amplitude = float(math.sqrt(det) if amplitude is None else amplitude)
         cov_diag = np.diag(np.linalg.inv(self.A)) / (2.0 * math.pi)
-        radii = radius_sigmas * np.sqrt(cov_diag)
-        self.radius_sigmas = float(radius_sigmas)
+        radii = RADIUS_SIGMAS * np.sqrt(cov_diag)
         self.box = Box(self.center - radii, self.center + radii)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
@@ -155,16 +160,12 @@ class GaussianFunction:
         return self.amplitude / math.sqrt(float(np.linalg.det(self.A)))
 
     def scaled(self, factor: float) -> "GaussianFunction":
-        return GaussianFunction(
-            self.A, self.amplitude * factor, self.center, self.radius_sigmas
-        )
+        return GaussianFunction(self.A, self.amplitude * factor, self.center)
 
     def reflected_at(self, point: np.ndarray) -> "GaussianFunction":
         """The function z -> self(point - z); gaussian again by symmetry of A."""
         point = np.asarray(point, dtype=float)
-        return GaussianFunction(
-            self.A, self.amplitude, point - self.center, self.radius_sigmas
-        )
+        return GaussianFunction(self.A, self.amplitude, point - self.center)
 
     def product(self, other: "GaussianFunction") -> "GaussianFunction":
         """Pointwise product: precisions add, centres combine by precision."""
@@ -177,8 +178,7 @@ class GaussianFunction:
             - m @ A3 @ m
         )
         amp = self.amplitude * other.amplitude * math.exp(-math.pi * expo)
-        sig = max(self.radius_sigmas, other.radius_sigmas)
-        return GaussianFunction(A3, amp, m, sig)
+        return GaussianFunction(A3, amp, m)
 
 
 class IndicatorFunction:
@@ -316,25 +316,78 @@ class InputTuple:
 
 
 # ---------------------------------------------------------------------------
-# quadrature primitives
+# the integral and ratio path: which estimator, which integrand, which quotient
 
 
-def _box_estimate(fn, box: Box, q: QuadratureSpec, stream: int, outside=None) -> mc.Estimate:
-    """Integral of fn over a box under the quadrature spec.  Under monte-carlo
-    the boundary share is the part on the points that `outside` marks."""
-    if q.method == "tensor-grid":
-        return mc.grid_estimate(fn, box, q.resolution)
-    lo = np.asarray(box.lo)
-    hi = np.asarray(box.hi)
-    return mc.monte_carlo(
-        fn,
-        lambda gen, size: mc.uniform_box(gen, size, lo, hi),
-        box.volume(),
-        q.resolution,
-        q.seed,
-        stream,
-        outside,
-    )
+def _in_ball(fn, center: np.ndarray, radius_sq: float) -> Callable:
+    """fn on the closed ball of squared radius `radius_sq`, zero outside."""
+
+    def masked(pts):
+        inside = np.sum((pts - center) ** 2, axis=1) <= radius_sq
+        out = np.zeros(pts.shape[0])
+        if np.any(inside):
+            out[inside] = fn(pts[inside])
+        return out
+
+    return masked
+
+
+def estimate(
+    fn, q: QuadratureSpec, stream: int, box=None, ball=None, proposal=None, outside=None
+) -> mc.Estimate:
+    """Integral of fn over a box, or over a ball given as (centre, radius),
+    under the quadrature spec.
+
+    Tensor-grid takes the midpoint rule over the box, or over the ball's
+    bounding box with fn masked to the ball.  Monte-carlo samples the region
+    uniformly on stream `stream`, except that a ball integral with a gaussian
+    proposal (mean, precision) is importance-sampled from it with the ball
+    indicator kept; tensor-grid ignores the proposal.  Under monte-carlo the
+    boundary share is the part on the points that `outside` marks.
+    """
+    if ball is not None:
+        center = np.asarray(ball[0], dtype=float)
+        radius = float(ball[1])
+        masked = _in_ball(fn, center, radius * radius)
+        if q.method == "tensor-grid":
+            return mc.grid_estimate(masked, Box(center - radius, center + radius), q.resolution)
+        if proposal is not None:
+            return mc.gaussian_importance(masked, *proposal, q.resolution, q.seed, stream)
+        volume = mc.ball_volume(center.shape[0], radius)
+
+        def draw(gen, size):
+            return mc.uniform_ball(gen, size, center, radius)
+
+    else:
+        if q.method == "tensor-grid":
+            return mc.grid_estimate(fn, box, q.resolution)
+        lo = np.asarray(box.lo)
+        hi = np.asarray(box.hi)
+        volume = box.volume()
+
+        def draw(gen, size):
+            return mc.uniform_box(gen, size, lo, hi)
+
+    return mc.monte_carlo(fn, draw, volume, q.resolution, q.seed, stream, outside)
+
+
+def pullback(maps, exponents, funcs) -> Callable:
+    """The integrand x -> prod_j f_j(B_j x)^{p_j}, factors with p_j = 0
+    skipped.  A map B_j is a callable on rows of points (a submersion) or a
+    matrix, applied to a row x as B_j x."""
+    factors = [
+        (B if callable(B) else (lambda pts, L=np.asarray(B): pts @ L.T), p, f)
+        for B, p, f in zip(maps, exponents, funcs)
+        if p != 0.0
+    ]
+
+    def values(pts):
+        vals = np.ones(pts.shape[0])
+        for B, p, f in factors:
+            vals *= f(B(pts)) ** p
+        return vals
+
+    return values
 
 
 def integrate_function(
@@ -351,17 +404,37 @@ def integrate_function(
             return float(mass), 0.0
     if isinstance(fn, SampledFunction) and q.method == "tensor-grid":
         return fn.native_mass(), 0.0
-    est = _box_estimate(fn, fn.box, q, stream)
+    est = estimate(fn, q, stream, box=fn.box)
     return est.value, est.stderr
 
 
-def _pullback_values(datum: BLDatum, funcs, pts: np.ndarray) -> np.ndarray:
-    vals = np.ones(pts.shape[0])
-    for p, L, f in zip(datum.exponents, datum.maps, funcs):
-        if p == 0.0:
-            continue
-        vals *= f(pts @ L.T) ** p
-    return vals
+def masses(funcs, q: QuadratureSpec, stream_base: int = 0, prefer_exact: bool = False) -> list:
+    """(mass, error) of each input, input j integrated on stream
+    stream_base + 1 + j.  Raises ZeroMassError when a mass is not positive."""
+    out = []
+    for j, f in enumerate(funcs):
+        mass, err = integrate_function(
+            f, q, stream=stream_base + 1 + j, prefer_exact=prefer_exact
+        )
+        if not mass > 0.0:
+            raise ZeroMassError(f"input {j} has zero estimated mass")
+        out.append((mass, err))
+    return out
+
+
+def quotient(num: float, num_err: float, masses, exponents) -> tuple:
+    """(num / prod_j mass_j^{p_j}, error) for `masses` as returned by
+    `masses`.  The relative errors of the numerator and of each denominator
+    factor add in quadrature; a numerator that is not positive keeps its
+    absolute error, divided by the denominator."""
+    log_den = math.fsum(p * math.log(m) for p, (m, _) in zip(exponents, masses))
+    value = num * math.exp(-log_den)
+    if not num > 0.0:
+        return value, num_err * math.exp(-log_den)
+    rel = (num_err / num) ** 2
+    for p, (m, e) in zip(exponents, masses):
+        rel += (p * e / m) ** 2
+    return value, value * math.sqrt(rel)
 
 
 def auto_domain(datum: BLDatum, boxes: Sequence[Box]) -> Optional[Box]:
@@ -419,14 +492,7 @@ def bl_functional(
     if bad:
         raise ValueError("; ".join(bad))
 
-    denoms = []
-    denom_errs = []
-    for j, f in enumerate(inputs.functions):
-        val, err = integrate_function(f, q, stream=_stream_base + 1 + j)
-        if not val > 0.0:
-            raise ZeroMassError(f"input {j} has zero estimated mass")
-        denoms.append(val)
-        denom_errs.append(err)
+    dens = masses(inputs.functions, q, _stream_base)
 
     domain = q.domain
     domain_is_exact = False
@@ -443,29 +509,18 @@ def bl_functional(
     hi = np.asarray(domain.hi)
     shell_lo = lo + 0.02 * (hi - lo)
     shell_hi = hi - 0.02 * (hi - lo)
-    est = _box_estimate(
-        lambda pts: _pullback_values(datum, inputs.functions, pts),
-        domain,
+    est = estimate(
+        pullback(datum.maps, datum.exponents, inputs.functions),
         q,
         _stream_base,
-        lambda pts: ~np.all((pts >= shell_lo) & (pts <= shell_hi), axis=1),
+        box=domain,
+        outside=lambda pts: ~np.all((pts >= shell_lo) & (pts <= shell_hi), axis=1),
     )
-    num, num_err, frac = est.value, est.stderr, est.boundary
-    if frac > BOUNDARY_MASS_LIMIT and not domain_is_exact:
+    if est.boundary > BOUNDARY_MASS_LIMIT and not domain_is_exact:
         raise DomainTooSmallError(
-            f"outermost cells carry {frac:.1%} of the numerator mass; enlarge the domain"
+            f"outermost cells carry {est.boundary:.1%} of the numerator mass; enlarge the domain"
         )
-
-    log_den = math.fsum(p * math.log(d) for p, d in zip(datum.exponents, denoms))
-    value = num * math.exp(-log_den)
-    if num > 0.0:
-        rel = (num_err / num) ** 2
-        for p, d, e in zip(datum.exponents, denoms, denom_errs):
-            rel += (p * e / d) ** 2
-        err = value * math.sqrt(rel)
-    else:
-        err = num_err * math.exp(-log_den)
-    return value, err
+    return quotient(est.value, est.stderr, dens, datum.exponents)
 
 
 # ---------------------------------------------------------------------------

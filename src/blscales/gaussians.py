@@ -155,7 +155,6 @@ def _residual(datum: BLDatum, blocks: list, Minv: np.ndarray) -> float:
 
 def solve_extremiser(
     datum: BLDatum,
-    init: Optional[GaussianTuple] = None,
     tol: float = 1e-10,
     max_iter: int = 10000,
     damping: float = 1.0,
@@ -179,12 +178,7 @@ def solve_extremiser(
         raise DatumError("; ".join(bad))
     if not (0.0 < damping <= 1.0):
         raise ValueError("damping must be in (0, 1]")
-    if init is not None:
-        blocks = [A.copy() for A in init.blocks]
-        if any(A.shape[0] != nj for A, nj in zip(blocks, datum.codims)):
-            raise ValueError("init block dimensions do not match the datum")
-    else:
-        blocks = [np.eye(nj) for nj in datum.codims]
+    blocks = [np.eye(nj) for nj in datum.codims]
 
     def normalize(blocks):
         M = compute_M(datum, GaussianTuple.l1_normalized(blocks))

@@ -148,27 +148,38 @@ def grid_estimate(fn, box, resolution: int) -> Estimate:
 
 
 def sample_sums(fn, draw, samples: int, seed: int, stream: int, outside=None) -> tuple:
-    """Sums of fn and of fn^2 over `samples` points of stream (seed, stream).
+    """Sum of fn and its centred sum of squares over `samples` points of
+    stream (seed, stream).
 
     Chunk c draws its points as draw(chunk_generator(seed, stream, c), size).
     fn returns a row of values, or a C-ordered stack of rows that are summed
-    row by row.  With `outside` (a point mask) the sum over the masked points
-    is returned too; fn must then return a single row.  Returns
-    (total, totsq, boundary, count).
+    row by row.  Each chunk's mean and centred sum of squares are merged
+    into the running ones by Chan, Golub and LeVeque's pairwise update, so
+    the spread is never the difference of two large sums.  With `outside` (a
+    point mask) the sum over the masked points is returned too; fn must then
+    return a single row.  Returns (total, m2, boundary, count), `total` the
+    plain sum.
     """
     total = 0.0
-    totsq = 0.0
+    mean = 0.0
+    m2 = 0.0
     boundary = 0.0
     count = 0
     for index, size in iter_chunks(samples):
         pts = draw(chunk_generator(seed, stream, index), size)
         vals = fn(pts)
-        total += vals.sum(axis=-1).astype(float)
-        totsq += (vals * vals).sum(axis=-1).astype(float)
+        chunk_total = vals.sum(axis=-1).astype(float)
+        total += chunk_total
+        chunk_mean = chunk_total / size
+        dev = vals - np.expand_dims(chunk_mean, -1)
+        delta = chunk_mean - mean
+        merged = count + size
+        mean = mean + delta * (size / merged)
+        m2 = m2 + (dev * dev).sum(axis=-1) + delta * delta * (count * size / merged)
+        count = merged
         if outside is not None:
             boundary += float(vals[outside(pts)].sum())
-        count += size
-    return total, totsq, boundary, count
+    return total, m2, boundary, count
 
 
 def monte_carlo(
@@ -178,17 +189,17 @@ def monte_carlo(
     draw(gen, size).  With uniform points of a region of that volume it
     estimates the integral of fn over the region.
 
-    The standard error is floored at the float rounding of the value,
-    16 eps |value|: an integrand that is constant on its samples has no
-    sampling error, but a verdict on it must not become an exact float
-    comparison.
+    The standard error is volume sqrt(m2) / count, m2 the merged centred
+    sum of squares of `sample_sums`.  It is floored at the float rounding of
+    the value, 16 eps |value|: an integrand that is constant on its samples
+    has no sampling error, but a verdict on it must not become an exact
+    float comparison.
     """
-    total, totsq, boundary, count = sample_sums(fn, draw, samples, seed, stream, outside)
+    total, m2, boundary, count = sample_sums(fn, draw, samples, seed, stream, outside)
     mean = total / count
-    var = max(totsq / count - mean * mean, 0.0)
     frac = float(boundary / total) if total > 0 else 0.0
     value = float(volume * mean)
-    stderr = max(volume * math.sqrt(var / count), ROUNDING * abs(value))
+    stderr = max(volume * math.sqrt(m2) / count, ROUNDING * abs(value))
     return Estimate(value, stderr, count, frac)
 
 

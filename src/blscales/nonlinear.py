@@ -22,14 +22,16 @@ import numpy as np
 from . import mc
 from .datum import BLDatum, FinitenessReport, Report, finiteness_check, validate_datum
 from .functional import (
-    Box,
     CallableFunction,
     GaussianFunction,
     InputTuple,
     QuadratureSpec,
     ZeroMassError,
-    integrate_function,
+    estimate,
+    masses,
     product_input,
+    pullback,
+    quotient,
 )
 from .gaussians import scale_gaussian, solve_extremiser, young_constant
 
@@ -338,28 +340,16 @@ def certify_inputs(
 # ---------------------------------------------------------------------------
 # localized ratio
 
-def _in_ball(fn, center: np.ndarray, radius_sq: float) -> Callable:
-    """fn on the closed ball of squared radius `radius_sq`, zero outside: the
-    integrand of a ball integral taken by grid quadrature over its bounding
-    box, or by importance sampling over the whole space."""
-
-    def masked(pts):
-        inside = np.sum((pts - center) ** 2, axis=1) <= radius_sq
-        out = np.zeros(pts.shape[0])
-        if np.any(inside):
-            out[inside] = fn(pts[inside])
-        return out
-
-    return masked
-
 
 def _linearized_gaussian(nd: NonlinearDatum, funcs: Sequence, center: np.ndarray):
     """Mean and precision (m, M) of the gaussian prod_j f_j(B_j(c) + J_j(x - c))^{p_j}
     for gaussian inputs f_j with blocks A_j, the integrand with each B_j
     replaced by its linearization at the centre c, J_j = dB_j(c): with
     e_j = B_j(c) - J_j c - center_j, M = sum_j p_j J_j^T A_j J_j and
-    m = -M^{-1} sum_j p_j J_j^T A_j e_j.  Returns None when M is not
-    positive definite."""
+    m = -M^{-1} sum_j p_j J_j^T A_j e_j.  Returns None unless every input is
+    a gaussian and M is positive definite."""
+    if not all(isinstance(fj, GaussianFunction) for fj in funcs):
+        return None
     M = np.zeros((nd.n, nd.n))
     b = np.zeros(nd.n)
     for p, s, fj in zip(nd.exponents, nd.submersions, funcs):
@@ -373,57 +363,6 @@ def _linearized_gaussian(nd: NonlinearDatum, funcs: Sequence, center: np.ndarray
     if not np.all(np.linalg.eigvalsh(M) > 0.0):
         return None
     return -np.linalg.solve(M, b), M
-
-
-def _ball_pullback_integral(
-    nd: NonlinearDatum,
-    funcs: Sequence,
-    center: np.ndarray,
-    radius: float,
-    q: QuadratureSpec,
-    stream: int,
-) -> tuple:
-    """Integral of prod (f_j o B_j)^{p_j} over the ball, with an error term.
-
-    Under monte-carlo, gaussian inputs are importance-sampled from the
-    gaussian of the datum linearized at the centre, which carries nearly all
-    of the integrand; other inputs are sampled uniformly on the ball.
-    """
-
-    def values(pts):
-        vals = np.ones(pts.shape[0])
-        for p, s, fj in zip(nd.exponents, nd.submersions, funcs):
-            if p == 0.0:
-                continue
-            vals *= fj(s(pts)) ** p
-        return vals
-
-    proposal = None
-    if q.method == "monte-carlo" and all(isinstance(fj, GaussianFunction) for fj in funcs):
-        proposal = _linearized_gaussian(nd, funcs, center)
-    if proposal is not None:
-        mean, precision = proposal
-        est = mc.gaussian_importance(
-            _in_ball(values, center, radius * radius),
-            mean,
-            precision,
-            q.resolution,
-            q.seed,
-            stream,
-        )
-    elif q.method == "monte-carlo":
-        est = mc.monte_carlo(
-            values,
-            lambda gen, size: mc.uniform_ball(gen, size, center, radius),
-            mc.ball_volume(nd.n, radius),
-            q.resolution,
-            q.seed,
-            stream,
-        )
-    else:
-        box = Box(center - radius, center + radius)
-        est = mc.grid_estimate(_in_ball(values, center, radius * radius), box, q.resolution)
-    return est.value, est.stderr
 
 
 def localized_ratio(
@@ -440,7 +379,9 @@ def localized_ratio(
     the membership is spot-checked by sampling and a failure raises
     UncertifiedInputError with a witness pair.  Denominators use closed-form
     masses when available (gaussian and indicator inputs), otherwise their own
-    grid; the numerator follows the quadrature spec.
+    estimate; the numerator follows the quadrature spec.  Under monte-carlo,
+    gaussian inputs are importance-sampled from the gaussian of the datum
+    linearized at the centre, which carries nearly all of the integrand.
     """
     if len(f.functions) != nd.m:
         raise ValueError(f"{len(f.functions)} inputs for {nd.m} submersions")
@@ -452,22 +393,15 @@ def localized_ratio(
                     f"worst sampled ratio {rep.worst_ratio:.6g}",
                     witness=(rep.witness_x, rep.witness_y),
                 )
-    num, num_err = _ball_pullback_integral(
-        nd, f.functions, lp.u, lp.radius, q, stream=_stream_base
+    num = estimate(
+        pullback(nd.submersions, nd.exponents, f.functions),
+        q,
+        _stream_base,
+        ball=(lp.u, lp.radius),
+        proposal=_linearized_gaussian(nd, f.functions, lp.u),
     )
-    log_den = 0.0
-    rel = (num_err / num) ** 2 if num > 0 else 0.0
-    for j, (p, fj) in enumerate(zip(nd.exponents, f.functions)):
-        mass, err = integrate_function(
-            fj, q, stream=_stream_base + 1 + j, prefer_exact=True
-        )
-        if not mass > 0.0:
-            raise ZeroMassError(f"input {j} has zero estimated mass")
-        log_den += p * math.log(mass)
-        rel += (p * err / mass) ** 2
-    ratio = num * math.exp(-log_den)
-    err = ratio * math.sqrt(rel) if num > 0 else num_err * math.exp(-log_den)
-    return ratio, err
+    dens = masses(f.functions, q, _stream_base, prefer_exact=True)
+    return quotient(num.value, num.stderr, dens, nd.exponents)
 
 
 # ---------------------------------------------------------------------------
@@ -750,55 +684,34 @@ def perturbation_check(
     delta_fine = delta**alpha
     g = scale_gaussian(ext.gaussians, delta_fine)
     jac = [np.atleast_2d(s.jacobian(u)) for s in nd.submersions]
-    b_u = [s(u[None, :])[0] for s in nd.submersions]
-    b_y = [s(y[None, :])[0] for s in nd.submersions]
 
-    def gauss(j, z):
-        dz = np.atleast_2d(z)
-        qform = np.einsum("ni,ij,nj->n", dz, g.blocks[j], dz)
-        return g.amplitudes[j] * np.exp(-math.pi * qform)
+    def recentred(shifts):
+        # x -> prod_j g_j(dB_j(u) x - shift_j)^{p_j}
+        funcs = [
+            GaussianFunction(A, c, center=z)
+            for A, c, z in zip(g.blocks, g.amplitudes, shifts)
+        ]
+        return pullback(jac, nd.exponents, funcs)
 
-    def lhs_integrand(pts):
-        vals = np.ones(pts.shape[0])
-        for j, p in enumerate(nd.exponents):
-            z = (pts - y) @ jac[j].T
-            vals *= gauss(j, z) ** p
-        return vals
-
-    def rhs_integrand(pts):
-        vals = np.ones(pts.shape[0])
-        for j, p in enumerate(nd.exponents):
-            z = b_u[j] + (pts - u) @ jac[j].T - b_y[j]
-            vals *= gauss(j, z) ** p
-        return vals
-
-    radius_fine = localization_radius(delta_fine)
-    if q.method == "monte-carlo":
-        # plain means of the three integrands over one shared draw
-
-        def integrands(pts):
-            a = lhs_integrand(pts)
-            b = rhs_integrand(pts)
-            return np.stack([a, b, np.abs(a - b)])
-
-        total, _, _, count = mc.sample_sums(
-            integrands,
-            lambda gen, size: mc.uniform_ball(gen, size, y, radius_fine),
-            q.resolution,
-            q.seed,
-            31,
+    # dB_j(u) y is formed as the pullback forms dB_j(u) x, so that for linear
+    # B_j and u = 0 the two integrands agree to the last bit
+    lhs_integrand = recentred([(y[None, :] @ J.T)[0] for J in jac])
+    rhs_integrand = recentred(
+        [
+            s(y[None, :])[0] - s(u[None, :])[0] + (u[None, :] @ J.T)[0]
+            for s, J in zip(nd.submersions, jac)
+        ]
+    )
+    # three estimates on one stream: each draws the same points
+    ball = (y, localization_radius(delta_fine))
+    lhs, rhs, l1 = (
+        estimate(fn, q, 31, ball=ball).value
+        for fn in (
+            lhs_integrand,
+            rhs_integrand,
+            lambda pts: np.abs(lhs_integrand(pts) - rhs_integrand(pts)),
         )
-        lhs, rhs, l1 = (mc.ball_volume(nd.n, radius_fine) * total / count).tolist()
-    else:
-        box = Box(y - radius_fine, y + radius_fine)
-        lhs, rhs, l1 = (
-            mc.grid_integral(_in_ball(fn, y, radius_fine**2), box, q.resolution)[0]
-            for fn in (
-                lhs_integrand,
-                rhs_integrand,
-                lambda pts: np.abs(lhs_integrand(pts) - rhs_integrand(pts)),
-            )
-        )
+    )
 
     allowed = (1.0 + delta**beta_prime) * rhs
     slack = allowed - lhs
@@ -837,6 +750,8 @@ def _linear_submersions(datum: BLDatum) -> list:
 
 
 def _young_euclidean(d: int) -> list:
+    if d < 1:
+        raise ValueError("dimension must be positive")
     Z = np.zeros((d, d))
     I = np.eye(d)
     maps = [np.hstack([Z, I]), np.hstack([I, -I]), np.hstack([I, Z])]
@@ -982,7 +897,8 @@ def _estimate_c2(map_fn, jac_fn, base: np.ndarray, radius: float) -> float:
 
 def _perturbed_quadratic(gamma: float) -> list:
     """Rank-one Young maps on R^2 with quadratic perturbations of size gamma."""
-    L = [np.array([[0.0, 1.0]]), np.array([[1.0, -1.0]]), np.array([[1.0, 0.0]])]
+    if not (0.0 <= gamma):
+        raise ValueError("gamma must be nonnegative")
 
     def b1(pts):
         return (pts[:, 1] + gamma * pts[:, 0] ** 2)[:, None]
@@ -1010,13 +926,16 @@ def _perturbed_quadratic(gamma: float) -> list:
     ]
 
 
-REGISTRY_TAGS = (
-    "linear",
-    "young-euclidean-<d>",
-    "young-heisenberg",
-    "young-affine-2d",
-    "perturbed-quadratic:<gamma>",
-)
+# Young-type tags, by the pattern that REGISTRY_TAGS shows: the builder of the
+# submersions from the tag's parameter, the text in place of <...>
+_YOUNG_TYPE = {
+    "young-euclidean-<d>": lambda d: _young_euclidean(int(d)),
+    "young-heisenberg": lambda _: _heisenberg_submersions(),
+    "young-affine-2d": lambda _: _affine_group_submersions(),
+    "perturbed-quadratic:<gamma>": lambda gamma: _perturbed_quadratic(float(gamma)),
+}
+
+REGISTRY_TAGS = ("linear", *_YOUNG_TYPE)
 
 
 def registry(
@@ -1026,46 +945,22 @@ def registry(
 ) -> NonlinearDatum:
     """Build a named nonlinear datum.  Young-type tags default to exponents
     (2/3, 2/3, 2/3)."""
-    young_p = [2.0 / 3.0] * 3
     if tag == "linear":
         if datum is None:
             raise ValueError("tag 'linear' needs an explicit datum")
-        subs = _linear_submersions(datum)
-        p = list(datum.exponents) if exponents is None else list(exponents)
-        return NonlinearDatum(submersions=subs, exponents=p, name=tag)
-    if tag.startswith("young-euclidean-"):
-        d = int(tag.rsplit("-", 1)[1])
-        if d < 1:
-            raise ValueError("dimension must be positive")
-        return NonlinearDatum(
-            submersions=_young_euclidean(d),
-            exponents=young_p if exponents is None else list(exponents),
-            name=tag,
-        )
-    if tag == "young-heisenberg":
-        return NonlinearDatum(
-            submersions=_heisenberg_submersions(),
-            exponents=young_p if exponents is None else list(exponents),
-            name=tag,
-        )
-    if tag == "young-affine-2d":
-        return NonlinearDatum(
-            submersions=_affine_group_submersions(),
-            exponents=young_p if exponents is None else list(exponents),
-            name=tag,
-        )
-    if tag.startswith("perturbed-quadratic:"):
-        gamma = float(tag.split(":", 1)[1])
-        if not (0.0 <= gamma):
-            raise ValueError("gamma must be nonnegative")
-        return NonlinearDatum(
-            submersions=_perturbed_quadratic(gamma),
-            exponents=young_p if exponents is None else list(exponents),
-            name=tag,
-        )
-    raise ValueError(
-        f"unknown registry tag {tag!r}; available: {', '.join(REGISTRY_TAGS)}"
-    )
+        subs, default = _linear_submersions(datum), datum.exponents
+    else:
+        for pattern, build in _YOUNG_TYPE.items():
+            prefix, param, _ = pattern.partition("<")
+            if tag == pattern or (param and tag.startswith(prefix)):
+                subs, default = build(tag[len(prefix):]), [2.0 / 3.0] * 3
+                break
+        else:
+            raise ValueError(
+                f"unknown registry tag {tag!r}; available: {', '.join(REGISTRY_TAGS)}"
+            )
+    p = default if exponents is None else exponents
+    return NonlinearDatum(submersions=subs, exponents=list(p), name=tag)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,6 @@ from typing import Iterator
 
 # domain bound for delta0 (radii r log(1/r) must be increasing in r)
 DELTA0_DOMAIN_CAP = 1.0 / math.e - 1e-6
-# conventional cap delta0 <= nu/3 with nu at its largest admissible value 1/e
-DELTA0_NU_THIRD_CAP = 1.0 / (3.0 * math.e)
 
 _GRID = 1e-6
 _SERIES_FLOOR = 1e-30

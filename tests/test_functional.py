@@ -355,3 +355,21 @@ def test_poisson_smooth_2d_mass():
     cube = SampledFunction([a, a, a], np.ones((4, 4, 4)))
     with pytest.raises(ValueError):
         poisson_smooth(cube, t=0.1)
+
+
+def test_estimate_agrees_across_estimators_on_a_ball():
+    from blscales.functional import estimate
+
+    A = np.array([[2.0, 0.3], [0.3, 1.0]])
+    g = GaussianFunction(A, center=[0.1, -0.05])
+    ball = (np.array([0.0, 0.1]), 0.6)
+    grid = estimate(g, QuadratureSpec(resolution=512), 0, ball=ball)
+    # tensor-grid ignores a proposal
+    assert estimate(g, QuadratureSpec(resolution=512), 0, ball=ball, proposal=(g.center, A)) == grid
+    mc_q = QuadratureSpec(method="monte-carlo", resolution=200000, seed=4)
+    uniform = estimate(g, mc_q, 7, ball=ball)
+    importance = estimate(g, mc_q, 7, ball=ball, proposal=(g.center, A))
+    assert 0.0 < grid.value < g.exact_mass
+    assert grid.stderr < 1e-4
+    for est in (uniform, importance):
+        assert abs(est.value - grid.value) <= 4.0 * est.stderr + grid.stderr

@@ -182,3 +182,34 @@ def test_gaussian_importance_integrates_gaussians():
     assert abs(est.value - 1.0) <= 4.0 * est.stderr
     assert est.stderr < 0.01
     assert gaussian_importance(other, mean, precision, 2 * CHUNK + 7, 2, 5) == est
+
+
+def test_monte_carlo_constant_integrand_has_only_the_floor():
+    # E[x^2] - E[x]^2 left a spurious 2.4e-11 here; the chunk merge leaves none
+    lo = np.zeros(2)
+    hi = np.ones(2)
+    est = monte_carlo(
+        lambda p: np.full(len(p), 0.7), lambda gen, size: uniform_box(gen, size, lo, hi),
+        1.0, 100000, 0, 1,
+    )
+    assert est.value == pytest.approx(0.7, rel=1e-15)
+    assert est.stderr == ROUNDING * est.value
+
+
+def test_monte_carlo_stderr_matches_two_pass_variance():
+    # a large offset over a small spread: the case where E[x^2] - E[x]^2 cancels
+    lo = np.array([-1.0, 0.0])
+    hi = np.array([1.0, 0.5])
+
+    def draw(gen, size):
+        return uniform_box(gen, size, lo, hi)
+
+    def f(pts):
+        return 1e4 + np.exp(-np.sum(pts * pts, axis=1))
+
+    samples = 3 * CHUNK + 11
+    est = monte_carlo(f, draw, 2.5, samples, 6, 2)
+    vals = np.concatenate(
+        [f(draw(chunk_generator(6, 2, index), size)) for index, size in iter_chunks(samples)]
+    )
+    assert est.stderr == pytest.approx(2.5 * np.sqrt(np.var(vals) / samples), rel=1e-12)

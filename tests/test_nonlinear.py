@@ -513,3 +513,18 @@ def test_lie_group_young_rows_and_workers():
     coarse = seq["rows"][0]
     assert fine.delta < coarse.delta
     assert fine.ratio >= coarse.ratio - 3.0 * math.hypot(fine.stderr, coarse.stderr)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [QuadratureSpec(resolution=128), QuadratureSpec(method="monte-carlo", resolution=20000)],
+    ids=["tensor-grid", "monte-carlo"],
+)
+def test_perturbation_linear_submersions_are_exact(q):
+    # both integrands are the same pullback of the same recentred gaussians
+    nd = registry("young-euclidean-1")
+    y = np.array([0.5, -0.25]) * localization_radius(0.05)
+    rep = perturbation_check(nd, np.zeros(2), y, 0.05, q, alpha=1.5, beta_prime=0.4)
+    assert rep.l1_diff == 0.0
+    assert rep.lhs == rep.rhs
+    assert rep.verdict == "pass"
