@@ -32,6 +32,9 @@ BOUNDARY_MASS_LIMIT = 0.01
 # half-width of a gaussian's nominal support box, in standard deviations
 RADIUS_SIGMAS = 10.0
 
+# half-width of the truncated Poisson kernel, in units of its height t
+POISSON_WINDOW = 50.0
+
 
 class ZeroMassError(ValueError):
     pass
@@ -89,9 +92,6 @@ class Box:
         if np.any(hi <= lo):
             return None
         return Box(lo, hi)
-
-    def minkowski_sum(self, other: "Box") -> "Box":
-        return Box(np.add(self.lo, other.lo), np.add(self.hi, other.hi))
 
     def reflect_translate(self, point: np.ndarray) -> "Box":
         """Support of z -> (anything supported on this box)(point - z)."""
@@ -159,9 +159,6 @@ class GaussianFunction:
     def exact_mass(self) -> float:
         return self.amplitude / math.sqrt(float(np.linalg.det(self.A)))
 
-    def scaled(self, factor: float) -> "GaussianFunction":
-        return GaussianFunction(self.A, self.amplitude * factor, self.center)
-
     def reflected_at(self, point: np.ndarray) -> "GaussianFunction":
         """The function z -> self(point - z); gaussian again by symmetry of A."""
         point = np.asarray(point, dtype=float)
@@ -196,9 +193,6 @@ class IndicatorFunction:
     @property
     def exact_mass(self) -> float:
         return self.height * self.box.volume()
-
-    def scaled(self, factor: float) -> "IndicatorFunction":
-        return IndicatorFunction(self.box, self.height * factor)
 
 
 class SampledFunction:
@@ -242,9 +236,6 @@ class SampledFunction:
         """Integral of the grid representation itself."""
         return float(self.values.sum() * np.prod(self.steps))
 
-    def scaled(self, factor: float) -> "SampledFunction":
-        return SampledFunction(self.axes, self.values * factor)
-
 
 class CallableFunction:
     def __init__(
@@ -266,12 +257,6 @@ class CallableFunction:
     def exact_mass(self):
         return self._mass
 
-    def scaled(self, factor: float) -> "CallableFunction":
-        mass = None if self._mass is None else self._mass * factor
-        return CallableFunction(
-            lambda pts: factor * self.fn(pts), self.box, mass, self.compact_support
-        )
-
 
 def product_input(a, b):
     """Pointwise product of two inputs, or None when the supports are disjoint.
@@ -285,12 +270,6 @@ def product_input(a, b):
         return None
     compact = a.compact_support or b.compact_support
     return CallableFunction(lambda pts: a(pts) * b(pts), box, compact_support=compact)
-
-
-def scale_input(fn, factor: float):
-    if hasattr(fn, "scaled"):
-        return fn.scaled(factor)
-    return CallableFunction(lambda pts: factor * fn(pts), fn.box)
 
 
 @dataclass
@@ -610,79 +589,52 @@ def ball_inequality_check(
 ) -> BallCheckReport:
     """Check BL(f) BL(g) <= max_x BL(h^x) BL(f*g) over a finite grid of x.
 
-    Inputs are normalized by estimated masses, the same estimate reused on
-    both sides.  The grid maximum underestimates the supremum, so a negative
-    slack beyond three combined standard errors is reported as "fail" while a
-    small one is "inconclusive".  With near_extremiser set, the consequences
+    The inputs are used as given: f*g and every h^x_j are linear in each f_j
+    and g_j, and BL is unchanged when an input is multiplied by a positive
+    constant, so every factor of the inequality is scale invariant.  The grid
+    maximum underestimates the supremum, so a negative slack beyond three
+    combined standard errors is reported as "fail" while a small one is
+    "inconclusive".  With near_extremiser set, the consequences
     BL(f) <= BL(f*g) and BL(f) <= max_x BL(h^x) are reported as well.
     """
     x_grid = np.atleast_2d(np.asarray(x_grid, dtype=float))
     if x_grid.shape[1] != datum.n:
         raise ValueError(f"x grid points must lie in R^{datum.n}")
 
-    f_norm = []
-    for j, fj in enumerate(f.functions):
-        mass, _ = integrate_function(fj, q, stream=1000 + j)
-        if not mass > 0.0:
-            raise ZeroMassError(f"input f[{j}] has zero estimated mass")
-        f_norm.append(scale_input(fj, 1.0 / mass))
-    g_norm = []
-    for j, gj in enumerate(g.functions):
-        mass, _ = integrate_function(gj, q, stream=2000 + j)
-        if not mass > 0.0:
-            raise ZeroMassError(f"input g[{j}] has zero estimated mass")
-        g_norm.append(scale_input(gj, 1.0 / mass))
-    fn = InputTuple(f_norm)
-    gn = InputTuple(g_norm)
-
-    bl_f, err_f = bl_functional(datum, fn, q, _stream_base=3000)
-    bl_g, err_g = bl_functional(datum, gn, q, _stream_base=4000)
-    conv = convolve_inputs(fn, gn, q)
+    bl_f, err_f = bl_functional(datum, f, q, _stream_base=3000)
+    bl_g, err_g = bl_functional(datum, g, q, _stream_base=4000)
+    conv = convolve_inputs(f, g, q)
     bl_conv, err_conv = bl_functional(datum, conv, q, _stream_base=5000)
 
-    h_values = []
-    bl_h_max = -math.inf
-    err_h_max = 0.0
-    argmax = x_grid[0]
-    skipped = 0
-    for ix, x in enumerate(x_grid):
-        hs = []
-        degenerate = False
-        for L, fj, gj in zip(datum.maps, fn.functions, gn.functions):
-            gj_flip = (
-                gj.reflected_at(L @ x)
-                if isinstance(gj, GaussianFunction)
-                else CallableFunction(
-                    (lambda gj, c: lambda pts: gj(c - np.atleast_2d(pts)))(gj, L @ x),
-                    gj.box.reflect_translate(L @ x),
-                )
-            )
-            hj = product_input(fj, gj_flip)
-            if hj is None:
-                degenerate = True
-                break
-            hs.append(hj)
-        if degenerate:
-            skipped += 1
-            h_values.append(None)
-            continue
+    def reflected(gj, c):
+        """The input z -> g_j(c - z)."""
+        if isinstance(gj, GaussianFunction):
+            return gj.reflected_at(c)
+        return CallableFunction(
+            lambda pts: gj(c - np.atleast_2d(pts)), gj.box.reflect_translate(c)
+        )
+
+    def localized(ix, x):
+        """(BL(h^x), error), or None when some h^x_j vanishes."""
+        hs = [
+            product_input(fj, reflected(gj, L @ x))
+            for L, fj, gj in zip(datum.maps, f.functions, g.functions)
+        ]
+        if any(h is None for h in hs):
+            return None
         try:
-            val, err = bl_functional(
-                datum, InputTuple(hs), q, _stream_base=6000 + 100 * ix
-            )
+            return bl_functional(datum, InputTuple(hs), q, _stream_base=6000 + 100 * ix)
         except ZeroMassError:
-            skipped += 1
-            h_values.append(None)
-            continue
-        h_values.append(val)
-        if val > bl_h_max:
-            bl_h_max = val
-            err_h_max = err
-            argmax = x
-    if skipped == len(x_grid):
+            return None
+
+    results = [localized(ix, x) for ix, x in enumerate(x_grid)]
+    found = [(r, x) for r, x in zip(results, x_grid) if r is not None]
+    if not found:
         raise DegenerateLocalizationError(
             "every localized tuple h^x had empty support; widen the x grid"
         )
+    (bl_h_max, err_h_max), argmax = max(found, key=lambda rx: rx[0][0])
+    h_values = [None if r is None else r[0] for r in results]
 
     lhs = bl_f * bl_g
     rhs = bl_h_max * bl_conv
@@ -726,7 +678,7 @@ def ball_inequality_check(
         stderr=sigma,
         verdict=verdict,
         h_values=h_values,
-        skipped_x=skipped,
+        skipped_x=h_values.count(None),
         extremiser_consequences=consequences,
     )
 
@@ -774,11 +726,11 @@ class PoissonSmoothResult:
 
 
 def poisson_smooth(
-    f: SampledFunction, t: float, kappa: Optional[float] = None, window: float = 50.0
+    f: SampledFunction, t: float, kappa: Optional[float] = None
 ) -> PoissonSmoothResult:
     """Convolve a sampled function with the Poisson kernel at height t.
 
-    The kernel is truncated to a window of half-width `window * t` and
+    The kernel is truncated to a window of half-width `POISSON_WINDOW * t` and
     renormalized to unit mass, so smoothing preserves the grid mass exactly.
     In one dimension the weights integrate the kernel over each cell in closed
     form; in higher dimensions they are midpoint samples.  When kappa is given
@@ -789,7 +741,7 @@ def poisson_smooth(
         raise ValueError("t must be positive")
     d = len(f.axes)
     h = f.steps
-    half_cells = np.maximum(np.ceil(window * t / h).astype(int), 2)
+    half_cells = np.maximum(np.ceil(POISSON_WINDOW * t / h).astype(int), 2)
     if d == 1:
         k = np.arange(-half_cells[0], half_cells[0] + 1)
         edges_lo = (k - 0.5) * h[0]

@@ -146,23 +146,16 @@ def total_loss_factor(delta0: float, alpha: float, beta: float, sigma: float) ->
     return math.exp(acc)
 
 
-def choose_delta0(
-    epsilon: float,
-    sigma: float,
-    alpha: float,
-    beta: float,
-    cap: float = DELTA0_DOMAIN_CAP,
-) -> float:
-    """Largest starting scale (on a 1e-6 grid) whose full-series loss stays
-    within 1 + epsilon.  Falls below the grid only when even one grid step is
-    too lossy."""
+def choose_delta0(epsilon: float, sigma: float, alpha: float, beta: float) -> float:
+    """Largest starting scale (on a 1e-6 grid, at most DELTA0_DOMAIN_CAP)
+    whose full-series loss stays within 1 + epsilon.  Falls below the grid
+    only when even one grid step is too lossy."""
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
     if not (1.0 < alpha and 0.0 < beta):
         raise ValueError("alpha must exceed 1 and beta must be positive")
-    if not (0.0 < cap < 1.0 / math.e):
-        raise ValueError("cap must lie in (0, 1/e)")
     target = 1.0 + epsilon
+    cap = DELTA0_DOMAIN_CAP
     if total_loss_factor(cap, alpha, beta, sigma) <= target:
         return cap
     lo, hi = 0.0, cap

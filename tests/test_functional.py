@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from blscales import mc
 from blscales.datum import BLDatum
 from blscales.functional import (
     BallCheckReport,
@@ -270,6 +271,54 @@ def test_ball_check_rejects_wrong_x_dimension(young_datum):
         ball_inequality_check(
             young_datum, f, f, np.zeros((1, 3)), QuadratureSpec(resolution=64)
         )
+
+
+def _ball_check_pair(kind, f_scales=(1.0, 1.0, 1.0), g_scales=(1.0, 1.0, 1.0)):
+    if kind == "gaussian":
+        f = [GaussianFunction([[a]], math.sqrt(a) * c) for a, c in zip((1.0, 0.8, 1.7), f_scales)]
+        g = [GaussianFunction([[a]], math.sqrt(a) * c) for a, c in zip((1.2, 2.0, 0.6), g_scales)]
+        return InputTuple(f), InputTuple(g)
+    return indicator_tuple(-0.5, 0.5, f_scales), indicator_tuple(-0.4, 0.6, g_scales)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "indicator"])
+@pytest.mark.parametrize(
+    "q",
+    [QuadratureSpec(resolution=128), QuadratureSpec(method="monte-carlo", resolution=20000)],
+    ids=["tensor-grid-128", "monte-carlo-2e4"],
+)
+def test_ball_check_is_invariant_under_input_scaling(young_datum, kind, q):
+    # every factor of BL(f) BL(g) <= max_x BL(h^x) BL(f*g) is unchanged when
+    # an input is multiplied by a positive constant
+    x_grid = np.array([[0.0, 0.0], [0.2, -0.1], [-0.3, 0.1]])
+    base = ball_inequality_check(young_datum, *_ball_check_pair(kind), x_grid, q)
+    scaled = ball_inequality_check(
+        young_datum,
+        *_ball_check_pair(kind, (2.0, 0.5, 3.7), (0.3, 5.0, 1.9)),
+        x_grid,
+        q,
+    )
+    for name in ("bl_f", "bl_g", "bl_conv", "bl_h_max", "lhs", "rhs"):
+        assert getattr(scaled, name) == pytest.approx(getattr(base, name), rel=1e-12), name
+    assert scaled.verdict == base.verdict
+
+
+def test_ball_check_estimates_each_integral_once(young_datum, monkeypatch):
+    # BL(f), BL(g), BL(f*g) and each BL(h^x): one numerator and three masses
+    calls = []
+    inner = mc.monte_carlo
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "monte_carlo", counting)
+    x_grid = np.array([[0.0, 0.0], [0.2, -0.1], [-0.3, 0.1]])
+    f, g = _ball_check_pair("gaussian")
+    ball_inequality_check(
+        young_datum, f, g, x_grid, QuadratureSpec(method="monte-carlo", resolution=20000)
+    )
+    assert len(calls) == 4 * (3 + len(x_grid)) == 24
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Source hygiene checks that need no linter: a stdlib AST scan."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "blscales"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "blscales"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -42,3 +44,43 @@ def test_scan_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def definitions(source: str) -> set:
+    """Names of the functions, methods and classes a module defines, dunders
+    excepted."""
+    return {
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+
+
+def mentions(source: str) -> set:
+    """Names a module reads, attribute and imported names, and the words of
+    its string constants (the bench tracer names what it wraps in strings)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(re.findall(r"\w+", node.value))
+    return out
+
+
+def test_every_definition_is_referenced():
+    mentioned = set()
+    for top in ("src", "tests", "demos", "bench"):
+        for path in (ROOT / top).rglob("*.py"):
+            mentioned |= mentions(path.read_text(encoding="utf-8"))
+    unreferenced = [
+        f"{path.name}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in sorted(definitions(path.read_text(encoding="utf-8")) - mentioned)
+    ]
+    assert unreferenced == []
