@@ -22,9 +22,11 @@ def show(tag, resolution, seed):
     for row in table["rows"]:
         print(f"  {row.delta:<7g}  {row.ratio:.6f}  {row.stderr:.6f}  {row.slack:+.6f}")
     print()
+    return table
 
 
 show("young-euclidean-1", 400_000, seed=0)
-show("young-heisenberg", 400_000, seed=0)
-print("increase --resolution (or the resolution above) to push the")
-print("Heisenberg ratio within 0.01 of the bound at delta = 0.05")
+heis = show("young-heisenberg", 400_000, seed=0)
+last = heis["rows"][-1]
+print(f"at delta = {last.delta:g} the Heisenberg ratio is within "
+      f"{abs(last.slack):.1e} of (3/4)^(3/2)")

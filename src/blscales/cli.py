@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -43,7 +42,6 @@ from .scheduler import (
     final_bound,
     kappa_evolution,
     schedule,
-    step_losses,
     validate_params,
 )
 
@@ -80,10 +78,9 @@ def _write_json(path, obj):
 
 def _threads() -> int:
     raw = os.environ.get("BL_SCALES_THREADS", "1")
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        return 1
+    if not (raw.strip().isdecimal() and int(raw) > 0):
+        raise ValueError(f"BL_SCALES_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _quad(args) -> QuadratureSpec:
@@ -92,32 +89,22 @@ def _quad(args) -> QuadratureSpec:
     )
 
 
-def cmd_constant(args) -> int:
-    datum = load_datum(args.input)
-    res = solve_extremiser(
-        datum, tol=args.tol, max_iter=args.max_iter, damping=args.damping
-    )
-    out = {
-        "bl_value": res.bl_value,
-        "converged": res.converged,
-        "status": res.status,
-        "iterations": res.iterations,
-        "residual": res.residual,
-        "tol": args.tol,
-    }
-    _write_json(args.output, out)
-    return 0 if res.converged else 1
-
-
-def cmd_extremiser(args) -> int:
-    datum = load_datum(args.input)
-    res = solve_extremiser(
-        datum, tol=args.tol, max_iter=args.max_iter, damping=args.damping
-    )
+def _solve(args, keep_gaussians: bool) -> int:
+    res = solve_extremiser(load_datum(args.input), tol=args.tol, max_iter=args.max_iter)
     out = res.to_json()
+    if not keep_gaussians:
+        del out["blocks"], out["amplitudes"]
     out["tol"] = args.tol
     _write_json(args.output, out)
     return 0 if res.converged else 1
+
+
+def cmd_constant(args) -> int:
+    return _solve(args, keep_gaussians=False)
+
+
+def cmd_extremiser(args) -> int:
+    return _solve(args, keep_gaussians=True)
 
 
 def cmd_finiteness(args) -> int:
@@ -280,12 +267,8 @@ def cmd_schedule(args) -> int:
         f"# final_bound = {_fmt(final_bound(params.epsilon, params.sigma))}",
         "k,delta_k,kappa_k,running_product",
     ]
-    running = 1.0
-    losses = step_losses(params.delta0, params.alpha, params.beta)
     for k, d in enumerate(deltas):
-        if k < k_star:
-            t = next(losses)
-            running *= (1.0 + t) * math.exp(params.sigma * t)
+        running = accumulated_factor(params, min(k + 1, k_star))[0]
         lines.append(f"{k},{_fmt(d)},{_fmt(kappas[min(k, len(kappas) - 1)])},{_fmt(running)}")
     _write_text(args.output, "\n".join(lines) + "\n")
     return 0
@@ -302,7 +285,6 @@ def _add_common(p, quad=False, solver=False):
     if solver:
         p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--max-iter", type=int, default=10000)
-        p.add_argument("--damping", type=float, default=1.0)
 
 
 def build_parser() -> argparse.ArgumentParser:

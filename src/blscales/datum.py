@@ -396,9 +396,14 @@ def datum_from_json(obj: dict) -> BLDatum:
         raise DatumError(f"datum object missing field: {exc}") from exc
     exps = []
     exact: Optional[list] = []
-    for entry in raw:
+    for i, entry in enumerate(raw):
         if isinstance(entry, dict):
-            q = Fraction(int(entry["num"]), int(entry["den"]))
+            try:
+                q = Fraction(int(entry["num"]), int(entry["den"]))
+            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+                raise DatumError(
+                    f"exponent {i} is not a fraction num/den: {entry!r}"
+                ) from exc
             exps.append(float(q))
             if exact is not None:
                 exact.append(q)

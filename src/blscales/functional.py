@@ -698,23 +698,18 @@ def poisson_kappa(mu: float, t: float, d: int = 1) -> float:
 
 
 def poisson_certified_mu(kappa: float, t: float, d: int = 1) -> float:
-    """Largest step mu at which the Poisson kernel is kappa-constant."""
+    """Largest step mu at which the Poisson kernel is kappa-constant.
+
+    At the worst offset s of `poisson_kappa`, s (s + mu) = t^2, so the sup
+    ratio is (1 + mu/s)^((d+1)/2); solving for mu gives mu = t k / sqrt(1 + k)
+    with k = kappa^(2/(d+1)) - 1.
+    """
     if kappa < 1.0:
         raise ValueError("kappa must be at least 1")
-    if kappa == 1.0:
-        return 0.0
-    lo, hi = 0.0, t
-    while poisson_kappa(hi, t, d) <= kappa:
-        hi *= 2.0
-        if hi > 1e9 * t:
-            return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if poisson_kappa(mid, t, d) <= kappa:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if t <= 0:
+        raise ValueError("t must be positive")
+    k = math.expm1(2.0 * math.log(kappa) / (d + 1))
+    return t * k / math.sqrt(1.0 + k)
 
 
 @dataclass

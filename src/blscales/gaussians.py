@@ -86,8 +86,12 @@ def scale_gaussian(g: GaussianTuple, rho: float) -> GaussianTuple:
 
 
 def compute_M(datum: BLDatum, g: GaussianTuple) -> np.ndarray:
+    return _M(datum, g.blocks)
+
+
+def _M(datum: BLDatum, blocks: list) -> np.ndarray:
     M = np.zeros((datum.n, datum.n))
-    for p, L, A in zip(datum.exponents, datum.maps, g.blocks):
+    for p, L, A in zip(datum.exponents, datum.maps, blocks):
         M += p * (L.T @ A @ L)
     return 0.5 * (M + M.T)
 
@@ -136,34 +140,30 @@ class ExtremiserResult(Report):
         return out
 
 
-def _spd_log(A: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(A)
-    return (v * np.log(w)) @ v.T
+def _normalize(datum: BLDatum, blocks: list) -> tuple:
+    """Scale the blocks jointly so that det M = 1; returns them with M^{-1}."""
+    M = _M(datum, blocks)
+    w = _check_M(M)
+    t = math.exp(-math.fsum(np.log(w)) / datum.n)
+    return [t * A for A in blocks], np.linalg.inv(t * M)
 
 
-def _spd_exp(S: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(S)
-    return (v * np.exp(w)) @ v.T
-
-
-def _residual(datum: BLDatum, blocks: list, Minv: np.ndarray) -> float:
+def _targets(datum: BLDatum, blocks: list, Minv: np.ndarray) -> tuple:
+    """S_j = L_j M^{-1} L_j^T and the residual max_j |A_j^{-1} - S_j|_2."""
+    S = [L @ Minv @ L.T for L in datum.maps]
     res = 0.0
-    for L, A in zip(datum.maps, blocks):
-        res = max(res, float(np.linalg.norm(np.linalg.inv(A) - L @ Minv @ L.T, 2)))
-    return res
+    for A, Sj in zip(blocks, S):
+        res = max(res, float(np.linalg.norm(np.linalg.inv(A) - Sj, 2)))
+    return S, res
 
 
 def solve_extremiser(
-    datum: BLDatum,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-    damping: float = 1.0,
+    datum: BLDatum, tol: float = 1e-10, max_iter: int = 10000
 ) -> ExtremiserResult:
     """Fixed-point iteration for the gaussian extremiser of a datum.
 
-    Each sweep replaces A_j by (L_j M^{-1} L_j^T)^{-1} (damping < 1 moves part
-    way there along the log-euclidean geodesic) and rescales all blocks so
-    det M = 1.  The residual max_j |A_j^{-1} - L_j M^{-1} L_j^T| is invariant
+    Each sweep replaces A_j by S_j^{-1}, S_j = L_j M^{-1} L_j^T, and rescales
+    all blocks so det M = 1.  The residual max_j |A_j^{-1} - S_j| is invariant
     under joint isotropic scaling, so the normalization does not disturb the
     stopping test.
 
@@ -176,20 +176,8 @@ def solve_extremiser(
     bad = validate_datum(datum)
     if bad:
         raise DatumError("; ".join(bad))
-    if not (0.0 < damping <= 1.0):
-        raise ValueError("damping must be in (0, 1]")
-    blocks = [np.eye(nj) for nj in datum.codims]
-
-    def normalize(blocks):
-        M = compute_M(datum, GaussianTuple.l1_normalized(blocks))
-        w = _check_M(M)
-        t = math.exp(-math.fsum(np.log(w)) / datum.n)
-        blocks = [t * A for A in blocks]
-        return blocks, t * M
-
-    blocks, M = normalize(blocks)
-    Minv = np.linalg.inv(M)
-    res = _residual(datum, blocks, Minv)
+    blocks, Minv = _normalize(datum, [np.eye(nj) for nj in datum.codims])
+    S, res = _targets(datum, blocks, Minv)
     status = "max-iter"
     iterations = 0
     converged = res <= tol
@@ -198,32 +186,18 @@ def solve_extremiser(
 
     while not converged and iterations < max_iter:
         iterations += 1
-        new_blocks = []
-        for L, A in zip(datum.maps, blocks):
-            target = np.linalg.inv(L @ Minv @ L.T)
-            target = 0.5 * (target + target.T)
-            if damping < 1.0:
-                stepped = _spd_exp(
-                    (1.0 - damping) * _spd_log(A) + damping * _spd_log(target)
-                )
-                new_blocks.append(stepped)
-            else:
-                new_blocks.append(target)
+        targets = [0.5 * (T + T.T) for T in map(np.linalg.inv, S)]
         try:
-            blocks, M = normalize(new_blocks)
+            blocks, Minv = _normalize(datum, targets)
         except SingularMatrixError:
             # the iterate left the positive cone: expected for data with an
             # infinite constant; keep the last healthy iterate in the report
             status = "diverged"
             break
-        Minv = np.linalg.inv(M)
 
-        explode = False
-        for A in blocks:
-            w = np.linalg.eigvalsh(A)
-            if w[0] < EIG_FLOOR or w[-1] > EIG_CEIL:
-                explode = True
-        res = _residual(datum, blocks, Minv)
+        spectra = [np.linalg.eigvalsh(A) for A in blocks]
+        explode = any(w[0] < EIG_FLOOR or w[-1] > EIG_CEIL for w in spectra)
+        S, res = _targets(datum, blocks, Minv)
         if res <= tol:
             converged = True
             status = "converged"

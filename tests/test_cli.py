@@ -88,6 +88,21 @@ def test_extremiser_blocks(young_file, tmp_path):
     assert all(len(b) == 1 and len(b[0]) == 1 for b in doc["blocks"])
 
 
+def test_constant_is_extremiser_without_gaussians(tmp_path):
+    # near the edge of the Young polytope: 999 sweeps
+    path = tmp_path / "edge.json"
+    save_datum(BLDatum(n=2, maps=young_maps(), exponents=[0.99, 0.506, 0.504]), str(path))
+    docs = []
+    for cmd in ("constant", "extremiser"):
+        out = tmp_path / f"{cmd}.json"
+        assert run([cmd, "--input", str(path), "--output", str(out)]) == 0
+        docs.append(json.loads(out.read_text()))
+    constant, extremiser = docs
+    assert extremiser["iterations"] == 999
+    del extremiser["blocks"], extremiser["amplitudes"]
+    assert constant == extremiser
+
+
 # ---------------------------------------------------------------------------
 # finiteness
 
@@ -298,6 +313,16 @@ def test_young_lie_deterministic_and_thread_invariant(tmp_path, monkeypatch):
     assert no_tmp_residue(tmp_path)
 
 
+@pytest.mark.parametrize("value", ["four", "0", "-2", ""])
+def test_young_lie_bad_thread_count_exits_two(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("BL_SCALES_THREADS", value)
+    out = tmp_path / "t.csv"
+    argv = ["young-lie", "--group", "young-euclidean-1", "--deltas", "0.1", "--output", str(out)]
+    assert run(argv) == 2
+    assert "BL_SCALES_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_young_lie_empty_deltas_exits_two(tmp_path):
     assert (
         run(
@@ -358,6 +383,15 @@ def test_malformed_datum_exits_two(tmp_path, capsys):
     bad.write_text("{ not json")
     assert run(["constant", "--input", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [{"num": 2}, {"num": 2, "den": 0}])
+def test_bad_exponent_fraction_exits_two(tmp_path, capsys, bad):
+    path = tmp_path / "frac.json"
+    exponents = [{"num": 2, "den": 3}, bad, {"num": 2, "den": 3}]
+    path.write_text(json.dumps({"n": 2, "maps": [m.tolist() for m in young_maps()], "exponents": exponents}))
+    assert run(["constant", "--input", str(path)]) == 2
+    assert "exponent 1" in capsys.readouterr().err
 
 
 def test_unknown_group_exits_two(tmp_path, capsys):

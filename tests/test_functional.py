@@ -358,6 +358,17 @@ def test_poisson_certified_mu_inverts_kappa():
         poisson_certified_mu(0.9, 0.1, 1)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_poisson_certified_mu_is_sharp(d):
+    for t in (1e-3, 0.1, 3.0):
+        for kappa in (1.001, 1.3, 10.0, 1e8):
+            mu = poisson_certified_mu(kappa, t, d)
+            assert poisson_kappa(mu, t, d) <= kappa * (1.0 + 1e-12)
+            assert poisson_kappa(mu * (1.0 + 1e-9), t, d) > kappa
+    with pytest.raises(ValueError):
+        poisson_certified_mu(1.3, 0.0, d)
+
+
 def test_poisson_smooth_preserves_mass():
     rng = np.random.default_rng(3)
     axes = [np.linspace(0.0, 1.0, 200)]

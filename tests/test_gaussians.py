@@ -87,17 +87,7 @@ def test_scale_invariance(young_datum, young_extremiser):
         assert np.allclose(g.masses(), young_extremiser.gaussians.masses(), rtol=1e-12)
 
 
-def test_damping_reaches_same_fixed_point():
-    d = BLDatum(n=2, maps=young_maps(), exponents=[0.5, 0.75, 0.75])
-    full = solve_extremiser(d)
-    damped = solve_extremiser(d, damping=0.5)
-    assert full.converged and damped.converged
-    assert damped.bl_value == pytest.approx(full.bl_value, rel=1e-10)
-
-
-def test_excursion_does_not_abort():
-    # residual rises for dozens of sweeps on this datum before contracting;
-    # the solver must ride it out rather than declare divergence
+def excursion_datum():
     vecs = np.array(
         [
             [-0.9554, -0.2703, 0.1189],
@@ -111,10 +101,30 @@ def test_excursion_does_not_abort():
     p = [0.7916, 0.6967, 0.5663, 0.1155, 0.83]
     s = sum(p)
     p = [x * 3.0 / s for x in p]
-    d = BLDatum(n=3, maps=[v.reshape(1, 3) for v in vecs], exponents=p)
-    res = solve_extremiser(d)
+    return BLDatum(n=3, maps=[v.reshape(1, 3) for v in vecs], exponents=p)
+
+
+def test_excursion_does_not_abort():
+    # residual rises for dozens of sweeps on this datum before contracting;
+    # the solver must ride it out rather than declare divergence
+    res = solve_extremiser(excursion_datum())
     assert res.converged
     assert res.residual <= 1e-10
+
+
+def test_fixed_point_sweep_counts(young_datum):
+    # the undamped sweep's exact counts: a change to the iteration shows here
+    # before it shows in any value
+    cases = [(young_datum, 0), (excursion_datum(), 165)]
+    for e, sweeps in [(1e-1, 103), (1e-2, 999)]:
+        p = [1.0 - e, 0.5 * (1.0 + e), 0.5 * (1.0 + e)]
+        cases.append((BLDatum(n=2, maps=young_maps(), exponents=p), sweeps))
+    for d, sweeps in cases:
+        res = solve_extremiser(d)
+        assert res.status == "converged"
+        assert res.iterations == sweeps
+        if d.maps[0].shape == (1, 2):
+            assert res.bl_value == pytest.approx(young_constant(d.exponents), rel=1e-12)
 
 
 def test_infinite_datum_diverges_or_stalls():
