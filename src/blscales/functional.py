@@ -35,6 +35,10 @@ RADIUS_SIGMAS = 10.0
 # half-width of the truncated Poisson kernel, in units of its height t
 POISSON_WINDOW = 50.0
 
+# most cells per axis of the grids `convolve_inputs` samples its factors on;
+# below it the quadrature resolution sets the count
+CONVOLUTION_CELLS = 4096
+
 
 class ZeroMassError(ValueError):
     pass
@@ -270,6 +274,13 @@ def product_input(a, b):
         return None
     compact = a.compact_support or b.compact_support
     return CallableFunction(lambda pts: a(pts) * b(pts), box, compact_support=compact)
+
+
+def reflected_input(g, c):
+    """The input z -> g(c - z); a gaussian stays a gaussian."""
+    if isinstance(g, GaussianFunction):
+        return g.reflected_at(c)
+    return CallableFunction(lambda pts: g(c - np.atleast_2d(pts)), g.box.reflect_translate(c))
 
 
 @dataclass
@@ -535,8 +546,9 @@ def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def convolve_inputs(f: InputTuple, g: InputTuple, q: QuadratureSpec) -> InputTuple:
     """Componentwise convolutions f_j * g_j as sampled functions.
 
-    Both factors are resampled onto grids with a common spacing per axis, and
-    the discrete convolution preserves the identity
+    Both factors are resampled onto grids with a common spacing per axis, the
+    wider box split into min(q.resolution, CONVOLUTION_CELLS) cells, and the
+    discrete convolution preserves the identity
     int(f_j * g_j) = int(f_j) int(g_j) exactly at the sampled level.
     """
     if len(f.functions) != len(g.functions):
@@ -545,7 +557,7 @@ def convolve_inputs(f: InputTuple, g: InputTuple, q: QuadratureSpec) -> InputTup
     for fj, gj in zip(f.functions, g.functions):
         if fj.box.dim != gj.box.dim:
             raise ValueError("convolution factors have different dimensions")
-        h = np.maximum(fj.box.widths, gj.box.widths) / q.resolution
+        h = np.maximum(fj.box.widths, gj.box.widths) / min(q.resolution, CONVOLUTION_CELLS)
         sf = _sample_on_grid(fj, h)
         sg = _sample_on_grid(gj, h)
         conv = _fft_convolve(sf.values, sg.values)
@@ -556,6 +568,36 @@ def convolve_inputs(f: InputTuple, g: InputTuple, q: QuadratureSpec) -> InputTup
             axes.append(start + np.arange(conv.shape[i]) * h[i])
         out.append(SampledFunction(axes, conv))
     return InputTuple(out)
+
+
+# ---------------------------------------------------------------------------
+# localization
+
+
+def localized_max(f: InputTuple, g: InputTuple, centres, ratio: Callable) -> tuple:
+    """The largest localized ratio over a finite set of points x.
+
+    Point ix gives one centre c_j per input (`centres[ix][j]`) and the
+    localized tuple h^x_j(z) = f_j(z) g_j(c_j - z), whose (value, error) is
+    `ratio(ix, h)`.  A point whose h^x has a vanished factor (disjoint
+    supports), or whose ratio raises ZeroMassError, gets None.  Returns the
+    per-point results and the index of the first largest value; raises
+    DegenerateLocalizationError when every point gets None.
+    """
+    results = []
+    for ix, cs in enumerate(centres):
+        hs = [
+            product_input(fj, reflected_input(gj, c))
+            for fj, gj, c in zip(f.functions, g.functions, cs)
+        ]
+        try:
+            results.append(None if None in hs else ratio(ix, InputTuple(hs)))
+        except ZeroMassError:
+            results.append(None)
+    found = [ix for ix, r in enumerate(results) if r is not None]
+    if not found:
+        raise DegenerateLocalizationError("every localized tuple h^x vanished; widen the x grid")
+    return results, max(found, key=lambda ix: results[ix][0])
 
 
 # ---------------------------------------------------------------------------
@@ -606,34 +648,11 @@ def ball_inequality_check(
     conv = convolve_inputs(f, g, q)
     bl_conv, err_conv = bl_functional(datum, conv, q, _stream_base=5000)
 
-    def reflected(gj, c):
-        """The input z -> g_j(c - z)."""
-        if isinstance(gj, GaussianFunction):
-            return gj.reflected_at(c)
-        return CallableFunction(
-            lambda pts: gj(c - np.atleast_2d(pts)), gj.box.reflect_translate(c)
-        )
-
-    def localized(ix, x):
-        """(BL(h^x), error), or None when some h^x_j vanishes."""
-        hs = [
-            product_input(fj, reflected(gj, L @ x))
-            for L, fj, gj in zip(datum.maps, f.functions, g.functions)
-        ]
-        if any(h is None for h in hs):
-            return None
-        try:
-            return bl_functional(datum, InputTuple(hs), q, _stream_base=6000 + 100 * ix)
-        except ZeroMassError:
-            return None
-
-    results = [localized(ix, x) for ix, x in enumerate(x_grid)]
-    found = [(r, x) for r, x in zip(results, x_grid) if r is not None]
-    if not found:
-        raise DegenerateLocalizationError(
-            "every localized tuple h^x had empty support; widen the x grid"
-        )
-    (bl_h_max, err_h_max), argmax = max(found, key=lambda rx: rx[0][0])
+    centres = [[L @ x for L in datum.maps] for x in x_grid]
+    results, best = localized_max(
+        f, g, centres, lambda ix, h: bl_functional(datum, h, q, _stream_base=6000 + 100 * ix)
+    )
+    bl_h_max, err_h_max = results[best]
     h_values = [None if r is None else r[0] for r in results]
 
     lhs = bl_f * bl_g
@@ -671,7 +690,7 @@ def ball_inequality_check(
         bl_g=bl_g,
         bl_conv=bl_conv,
         bl_h_max=bl_h_max,
-        argmax_x=argmax,
+        argmax_x=x_grid[best],
         lhs=lhs,
         rhs=rhs,
         slack=slack,

@@ -22,14 +22,12 @@ import numpy as np
 from . import mc
 from .datum import BLDatum, Report, validate_datum
 from .functional import (
-    CallableFunction,
     GaussianFunction,
     InputTuple,
     QuadratureSpec,
-    ZeroMassError,
     estimate,
+    localized_max,
     masses,
-    product_input,
     pullback,
     quotient,
 )
@@ -308,27 +306,6 @@ def image_sampler(submersion: Submersion, center: np.ndarray, radius: float) -> 
     return draw
 
 
-def certify_inputs(
-    nd: NonlinearDatum,
-    lp: LocalizedProblem,
-    f: InputTuple,
-    seed: int = 0,
-) -> list:
-    """kappa-constancy reports for each input on B_j(2 U_delta(u))."""
-    reports = []
-    for j, (s, fj) in enumerate(zip(nd.submersions, f.functions)):
-        rep = is_kappa_constant(
-            fj,
-            image_sampler(s, lp.u, 2.0 * lp.radius),
-            lp.mu,
-            lp.kappa,
-            seed=seed,
-            stream=50 + j,
-        )
-        reports.append(rep)
-    return reports
-
-
 # ---------------------------------------------------------------------------
 # localized ratio
 
@@ -378,7 +355,15 @@ def localized_ratio(
     if len(f.functions) != nd.m:
         raise ValueError(f"{len(f.functions)} inputs for {nd.m} submersions")
     if certify:
-        for j, rep in enumerate(certify_inputs(nd, lp, f, seed=q.seed)):
+        for j, (s, fj) in enumerate(zip(nd.submersions, f.functions)):
+            rep = is_kappa_constant(
+                fj,
+                image_sampler(s, lp.u, 2.0 * lp.radius),
+                lp.mu,
+                lp.kappa,
+                seed=q.seed,
+                stream=50 + j,
+            )
             if not rep.ok:
                 raise UncertifiedInputError(
                     f"input {j} is not {lp.kappa}-constant at scale {lp.mu}: "
@@ -521,7 +506,10 @@ def recursive_step_check(
 
     Kernel and product constancy levels, exp(delta^beta) and
     kappa exp(delta^beta), are spot-checked and reported with witnesses; a
-    failed certification does not abort the comparison.
+    failed certification does not abort the comparison.  A point x whose h^x
+    vanishes (see `functional.localized_max`) gets a zero entry and no
+    certifications; DegenerateLocalizationError is raised when every point
+    does.
     """
     threshold = lp.delta ** (alpha + beta_prime)
     if lp.regime(alpha, beta_prime) == "base":
@@ -546,24 +534,18 @@ def recursive_step_check(
     ext = solve_extremiser(nd.linearize(lp.u))
     g_scaled = scale_gaussian(ext.gaussians, delta_fine)
 
-    entries = []
+    lins = [nd.affine_map(lp.u, j) for j in range(nd.m)]
+    centres = [[lin(x[None, :])[0] for lin in lins] for x in x_grid]
+    g = InputTuple([GaussianFunction(A, c) for A, c in zip(g_scaled.blocks, g_scaled.amplitudes)])
     certifications = []
-    max_ratio = -math.inf
-    max_err = 0.0
-    argmax = x_grid[0]
-    for ix, x in enumerate(x_grid):
-        hs = []
-        for j, (s, fj) in enumerate(zip(nd.submersions, f.functions)):
-            lj_x = nd.affine_map(lp.u, j)(x[None, :])[0]
-            kernel = GaussianFunction(
-                g_scaled.blocks[j], g_scaled.amplitudes[j], center=lj_x
-            )
-            hj = product_input(fj, kernel)
-            if hj is None:
-                hj = CallableFunction(lambda pts: np.zeros(len(np.atleast_2d(pts))), kernel.box)
-            hs.append(hj)
+
+    def ratio(ix, h):
+        x = x_grid[ix]
+        for j, (s, gj, c, hj) in enumerate(
+            zip(nd.submersions, g.functions, centres[ix], h.functions)
+        ):
             for kind, fn, level, stream in (
-                ("kernel", kernel, bump, 500),
+                ("kernel", gj.reflected_at(c), bump, 500),
                 ("product", hj, kappa_fine, 900),
             ):
                 rep = is_kappa_constant(
@@ -588,20 +570,12 @@ def recursive_step_check(
         lp_fine = LocalizedProblem(
             center=tuple(x), delta=delta_fine, mu=lp.mu, kappa=kappa_fine
         )
-        try:
-            val, err = localized_ratio(
-                nd, lp_fine, InputTuple(hs), q, certify=False,
-                _stream_base=1000 + 100 * ix,
-            )
-        except ZeroMassError:
-            # empty localized tuple: contributes nothing to the maximum
-            entries.append(RecursiveEntry(x=x, ratio=0.0, stderr=0.0))
-            continue
-        entries.append(RecursiveEntry(x=x, ratio=val, stderr=err))
-        if val > max_ratio:
-            max_ratio = val
-            max_err = err
-            argmax = x
+        return localized_ratio(nd, lp_fine, h, q, certify=False, _stream_base=1000 + 100 * ix)
+
+    results, best = localized_max(f, g, centres, ratio)
+    max_ratio, max_err = results[best]
+    # a vanished h^x contributes nothing to the maximum
+    entries = [RecursiveEntry(x, *(r or (0.0, 0.0))) for x, r in zip(x_grid, results)]
 
     rhs = (1.0 + lp.delta**beta) * max_ratio
     rhs_err = (1.0 + lp.delta**beta) * max_err
@@ -612,7 +586,7 @@ def recursive_step_check(
         lhs=lhs,
         lhs_err=lhs_err,
         max_ratio=max_ratio,
-        argmax_x=argmax,
+        argmax_x=x_grid[best],
         rhs=rhs,
         rhs_err=rhs_err,
         slack=slack,
@@ -930,28 +904,23 @@ _YOUNG_TYPE = {
 REGISTRY_TAGS = ("linear", *_YOUNG_TYPE)
 
 
-def registry(
-    tag: str,
-    exponents: Optional[Sequence[float]] = None,
-    datum: Optional[BLDatum] = None,
-) -> NonlinearDatum:
-    """Build a named nonlinear datum.  Young-type tags default to exponents
-    (2/3, 2/3, 2/3)."""
+def registry(tag: str, datum: Optional[BLDatum] = None) -> NonlinearDatum:
+    """Build a named nonlinear datum.  Young-type tags take exponents
+    (2/3, 2/3, 2/3); tag 'linear' takes the maps and exponents of `datum`."""
     if tag == "linear":
         if datum is None:
             raise ValueError("tag 'linear' needs an explicit datum")
-        subs, default = _linear_submersions(datum), datum.exponents
+        subs, p = _linear_submersions(datum), datum.exponents
     else:
         for pattern, build in _YOUNG_TYPE.items():
             prefix, param, _ = pattern.partition("<")
             if tag == pattern or (param and tag.startswith(prefix)):
-                subs, default = build(tag[len(prefix):]), [2.0 / 3.0] * 3
+                subs, p = build(tag[len(prefix):]), [2.0 / 3.0] * 3
                 break
         else:
             raise ValueError(
                 f"unknown registry tag {tag!r}; available: {', '.join(REGISTRY_TAGS)}"
             )
-    p = default if exponents is None else exponents
     return NonlinearDatum(submersions=subs, exponents=list(p), name=tag)
 
 
@@ -971,7 +940,6 @@ class YoungRow:
 def lie_group_young(
     group: str,
     deltas: Sequence[float],
-    exponents: Optional[Sequence[float]] = None,
     q: Optional[QuadratureSpec] = None,
     mu: float = 1e-4,
     kappa: float = 1.5,
@@ -986,7 +954,7 @@ def lie_group_young(
     Rows for different scales are independent, so they may be evaluated by a
     small thread pool without changing any result.
     """
-    nd = registry(group, exponents=exponents)
+    nd = registry(group)
     if q is None:
         q = QuadratureSpec(method="monte-carlo", resolution=200000)
     ext = solve_extremiser(nd.linearize())

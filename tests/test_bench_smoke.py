@@ -1,0 +1,45 @@
+"""One traced op of each sampling workload of the benchmark harness.
+
+The harness in `bench/` observes the library from outside: its tracer reads
+arguments and results of the functions it wraps (for example the `.values`
+of what `convolve_inputs` returns), so a library change can break a traced
+benchmark run while every untraced call still works.  The harness is
+imported as it is, not changed."""
+
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def harness(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+    import workloads
+
+    return workloads, tracer
+
+
+@pytest.mark.parametrize(
+    "name, counter",
+    [
+        ("conv-ineq", "functional.convolve_inputs.cells"),
+        ("heis-induction", "nonlinear.localized_ratio.calls"),
+    ],
+)
+def test_traced_op_passes_its_check(harness, tmp_path, name, counter):
+    workloads, tracer = harness
+    wl = workloads.WORKLOADS[name](1, tmp_path)
+    *args, q = wl.prepare(0)
+    op_args = (*args, replace(q, resolution=2000))
+    tr = tracer.Tracer()
+    out = wl.run_traced(op_args, tr, 0)
+    assert wl.check(out) is None
+    # tracing leaves the result unchanged
+    assert wl.canonical(out) == wl.canonical(wl.run(op_args))
+    metrics = tr.summary(1, [], [])
+    assert metrics[counter]["value"] > 0
+    assert metrics["mc.estimates"]["value"] > 0

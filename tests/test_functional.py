@@ -26,6 +26,7 @@ from blscales.functional import (
     bl_functional,
     convolve_inputs,
     integrate_function,
+    localized_max,
     poisson_certified_mu,
     poisson_kappa,
     poisson_smooth,
@@ -263,6 +264,33 @@ def test_ball_check_degenerate_grid(young_datum):
     x_grid = np.array([[50.0, 25.0]])
     with pytest.raises(DegenerateLocalizationError):
         ball_inequality_check(young_datum, f, g, x_grid, QuadratureSpec(resolution=64))
+
+
+def test_localized_max_contract():
+    # one input, f = g = 1 on [0, 1]: h^x = f g(c - .) lives on [c - 1, c]
+    # intersected with [0, 1], and vanishes for c = 5
+    f = indicator_tuple(0.0, 1.0, heights=(1.0,))
+    centres = [[np.array([c])] for c in (0.5, 5.0, 1.0, 1.5, 0.8, 0.2)]
+    values = {0: (1.0, 0.1), 2: (2.0, 0.2), 3: (2.0, 0.3), 4: None, 5: (0.5, 0.0)}
+    seen = []
+
+    def ratio(ix, h):
+        seen.append(ix)
+        c = centres[ix][0][0]
+        assert h.functions[0].box == Box([max(c - 1.0, 0.0)], [min(c, 1.0)])
+        if values[ix] is None:
+            raise ZeroMassError("empty")
+        return values[ix]
+
+    results, best = localized_max(f, f, centres, ratio)
+    # the vanished h^x never reaches `ratio`, a ZeroMassError gives None, and
+    # of the tied largest values the first wins
+    assert seen == [0, 2, 3, 4, 5]
+    assert results == [(1.0, 0.1), None, (2.0, 0.2), (2.0, 0.3), None, (0.5, 0.0)]
+    assert best == 2
+
+    with pytest.raises(DegenerateLocalizationError):
+        localized_max(f, f, [centres[1], centres[4]], lambda ix, h: ratio(ix + 3, h))
 
 
 def test_ball_check_rejects_wrong_x_dimension(young_datum):

@@ -10,6 +10,7 @@ from blscales import nonlinear
 from blscales.functional import (
     Box,
     CallableFunction,
+    DegenerateLocalizationError,
     GaussianFunction,
     IndicatorFunction,
     InputTuple,
@@ -385,6 +386,20 @@ def test_recursive_step_rejects_far_x(young_datum):
         recursive_step_check(
             nd, lp, f, np.array([[1.0, 0.0]]), QuadratureSpec(resolution=64),
             alpha=1.5, beta=0.3, beta_prime=0.4,
+        )
+
+
+def test_recursive_step_raises_when_every_localized_tuple_vanishes(young_datum):
+    # inputs on [5, 6] miss every localizing gaussian near 0, so each h^x has
+    # a vanished factor and there is no right side to compare with lhs = 0
+    nd = registry("linear", datum=young_datum)
+    lp = LocalizedProblem(center=(0.0, 0.0), delta=0.05, mu=1e-6, kappa=2.0)
+    f = InputTuple([IndicatorFunction(Box([5.0], [6.0]))] * 3)
+    q = QuadratureSpec(resolution=64)
+    assert localized_ratio(nd, lp, f, q) == (0.0, 0.0)
+    with pytest.raises(DegenerateLocalizationError):
+        recursive_step_check(
+            nd, lp, f, np.zeros((1, 2)), q, alpha=1.5, beta=0.3, beta_prime=0.4
         )
 
 
