@@ -18,6 +18,7 @@ and Poisson-kernel smoothing with a certified constancy modulus.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -38,6 +39,13 @@ POISSON_WINDOW = 50.0
 # most cells per axis of the grids `convolve_inputs` samples its factors on;
 # below it the quadrature resolution sets the count
 CONVOLUTION_CELLS = 4096
+
+# most vertex candidates C(R, n) 2^n, for R stacked map rows in R^n, that
+# `auto_domain` enumerates; above it the domain comes from linear programs
+VERTEX_CANDIDATES = 50_000
+
+# feasibility tolerance of a vertex candidate, relative to |A| |x| + |bound|
+VERTEX_RTOL = 1e-9
 
 
 class ZeroMassError(ValueError):
@@ -201,7 +209,8 @@ class IndicatorFunction:
 
 class SampledFunction:
     """Values on a uniform midpoint grid; evaluates by multilinear interpolation
-    (zero outside the box)."""
+    between the nodes (zero outside the span of the nodes, so also on the
+    half-cell margin of the box)."""
 
     compact_support = True
 
@@ -216,21 +225,39 @@ class SampledFunction:
         lo = [a[0] - 0.5 * s for a, s in zip(self.axes, self.steps)]
         hi = [a[-1] + 0.5 * s for a, s in zip(self.axes, self.steps)]
         self.box = Box(lo, hi)
-        self._interp = None
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        if self._interp is None:
-            from scipy.interpolate import RegularGridInterpolator
-
-            self._interp = RegularGridInterpolator(
-                self.axes,
-                self.values,
-                method="linear",
-                bounds_error=False,
-                fill_value=0.0,
-            )
+        """Multilinear interpolation with the cells, weights and corner order
+        of scipy's RegularGridInterpolator (method "linear")."""
         pts = np.atleast_2d(pts)
-        return np.maximum(self._interp(pts), 0.0)
+        outside = np.zeros(pts.shape[0], dtype=bool)
+        sides = []
+        for a, h, x in zip(self.axes, self.steps, pts.T):
+            outside |= (x < a[0]) | (x > a[-1])
+            if len(a) == 1:
+                # index -1 wraps to the one node, as in scipy
+                i = np.full(x.shape, -1)
+                y = np.zeros(x.shape)
+            else:
+                # the cell from the uniform spacing, then one step to the
+                # largest node <= x (searchsorted on the stored axis), kept
+                # inside the grid so that x == a[-1] takes the last cell (and
+                # nan some cell: fmin and fmax drop it)
+                i = np.fmax(np.fmin(np.floor((x - a[0]) / h), len(a) - 2), 0).astype(np.intp)
+                i -= (x < a[i]) & (i > 0)
+                i += (x >= a[i + 1]) & (i < len(a) - 2)
+                y = (x - a[i]) / (a[i + 1] - a[i])
+            sides.append(((i, 1.0 - y), (i + 1, y)))
+        # summed from 0.0 as in scipy, which turns a -0.0 result into 0.0
+        value = 0.0
+        for corner in itertools.product(*sides):
+            index, weights = zip(*corner)
+            weight = weights[0]
+            for w in weights[1:]:
+                weight = weight * w
+            value = value + self.values[index] * weight
+        value[outside] = 0.0
+        return np.maximum(value, 0.0)
 
     @property
     def exact_mass(self):
@@ -427,42 +454,88 @@ def quotient(num: float, num_err: float, masses, exponents) -> tuple:
     return value, value * math.sqrt(rel)
 
 
-def auto_domain(datum: BLDatum, boxes: Sequence[Box]) -> Optional[Box]:
-    """Bounding box of {x : L_j x in box_j for all j}, by linear programming.
+def _vertices(A: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The vertices of {x : lo <= A x <= hi} for A of full column rank k.
 
-    Returns None when the constraint polytope is empty (the integrand vanishes
-    identically).  Raises when it is unbounded, which happens exactly when the
-    maps share a common kernel direction.
+    Each candidate is B^-1 b for an invertible k-row submatrix B of A, with b
+    taking lo or hi on each row; the vertices are the candidates that satisfy
+    every constraint up to a rounding tolerance relative to the magnitudes
+    that enter A x and the bounds.
     """
+    k = A.shape[1]
+    subsets = np.array(list(itertools.combinations(range(A.shape[0]), k)))
+    subsets = subsets[np.linalg.matrix_rank(A[subsets]) == k]
+    sides = np.array(list(itertools.product((False, True), repeat=k))).T
+    b = np.where(sides, hi[subsets][:, :, None], lo[subsets][:, :, None])
+    x = np.linalg.solve(A[subsets], b).transpose(0, 2, 1).reshape(-1, k)
+    Ax = x @ A.T
+    tol = VERTEX_RTOL * (np.abs(x) @ np.abs(A).T + np.maximum(np.abs(lo), np.abs(hi)))
+    return x[np.all((Ax >= lo - tol) & (Ax <= hi + tol), axis=1)]
+
+
+def _lp_domain(A: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """(lower corner, upper corner) of {x : lo <= A x <= hi} by 2n linear
+    programs, or None when it is empty."""
     from scipy.optimize import linprog
 
-    rows = []
-    ubs = []
-    for L, box in zip(datum.maps, boxes):
-        rows.append(L)
-        ubs.extend(box.hi)
-        rows.append(-L)
-        ubs.extend(-np.asarray(box.lo))
-    A_ub = np.vstack(rows)
-    b_ub = np.asarray(ubs, dtype=float)
-    lo = np.empty(datum.n)
-    hi = np.empty(datum.n)
-    for i in range(datum.n):
-        c = np.zeros(datum.n)
+    A_ub = np.vstack([A, -A])
+    b_ub = np.concatenate([hi, -lo])
+    n = A.shape[1]
+    low = np.empty(n)
+    high = np.empty(n)
+    for i in range(n):
+        c = np.zeros(n)
         c[i] = 1.0
-        low = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(None, None), method="highs")
-        high = linprog(-c, A_ub=A_ub, b_ub=b_ub, bounds=(None, None), method="highs")
-        if low.status == 2 or high.status == 2:
+        lp_lo = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(None, None), method="highs")
+        lp_hi = linprog(-c, A_ub=A_ub, b_ub=b_ub, bounds=(None, None), method="highs")
+        if lp_lo.status == 2 or lp_hi.status == 2:
             return None
-        if low.status != 0 or high.status != 0:
+        if lp_lo.status != 0 or lp_hi.status != 0:
             raise UnboundedDomainError(
                 "integration domain is unbounded; pass an explicit domain"
             )
-        lo[i] = low.fun
-        hi[i] = -high.fun
-    if np.any(hi <= lo):
+        low[i] = lp_lo.fun
+        high[i] = -lp_hi.fun
+    return low, high
+
+
+def auto_domain(datum: BLDatum, boxes: Sequence[Box]) -> Optional[Box]:
+    """Bounding box of P = {x : L_j x in box_j for all j}.
+
+    The box spans the vertices of P (`_vertices`), or comes from linear
+    programs when the stacked maps A give more than VERTEX_CANDIDATES vertex
+    candidates.  Returns None when P is empty or flat (the integrand vanishes
+    identically).  Emptiness is decided first: when A has rank r < n it is
+    decided on the row space of A, where P is a bounded polytope in r
+    variables, and a nonempty P raises UnboundedDomainError, because the maps
+    share a kernel direction.
+    """
+    A = np.vstack(datum.maps)
+    lo = np.concatenate([box.lo for box in boxes])
+    hi = np.concatenate([box.hi for box in boxes])
+    _, s, vt = np.linalg.svd(A, full_matrices=False)
+    rank = int(np.sum(s > s.max(initial=0.0) * max(A.shape) * np.finfo(float).eps))
+    if math.comb(A.shape[0], rank) * 2**rank > VERTEX_CANDIDATES:
+        corners = _lp_domain(A, lo, hi)
+        if corners is None:
+            return None
+        low, high = corners
+    elif rank < datum.n:
+        if rank == 0:
+            empty = np.any(lo > 0.0) or np.any(hi < 0.0)
+        else:
+            empty = len(_vertices(A @ vt[:rank].T, lo, hi)) == 0
+        if empty:
+            return None
+        raise UnboundedDomainError("integration domain is unbounded; pass an explicit domain")
+    else:
+        x = _vertices(A, lo, hi)
+        if len(x) == 0:
+            return None
+        low, high = x.min(axis=0), x.max(axis=0)
+    if np.any(high <= low):
         return None
-    return Box(lo, hi)
+    return Box(low, high)
 
 
 def bl_functional(

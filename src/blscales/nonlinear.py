@@ -462,8 +462,8 @@ def base_case_check(
 @dataclass
 class RecursiveEntry:
     x: np.ndarray
-    ratio: float
-    stderr: float
+    ratio: Optional[float]
+    stderr: Optional[float]
 
 
 @dataclass
@@ -574,8 +574,8 @@ def recursive_step_check(
 
     results, best = localized_max(f, g, centres, ratio)
     max_ratio, max_err = results[best]
-    # a vanished h^x contributes nothing to the maximum
-    entries = [RecursiveEntry(x, *(r or (0.0, 0.0))) for x, r in zip(x_grid, results)]
+    # a vanished h^x has no ratio: its entry is None/None, as in the ball check
+    entries = [RecursiveEntry(x, *(r or (None, None))) for x, r in zip(x_grid, results)]
 
     rhs = (1.0 + lp.delta**beta) * max_ratio
     rhs_err = (1.0 + lp.delta**beta) * max_err

@@ -441,3 +441,29 @@ def test_cli_import_skips_fft_interpolate_optimize_and_special():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["functional", "--inputs", "gaussian-iso", "--method", "monte-carlo",
+         "--resolution", "20000"],
+        ["ball-check", "--inputs", "indicator", "--resolution", "256"],
+    ],
+    ids=["functional-monte-carlo", "ball-check-indicator"],
+)
+def test_cli_main_skips_optimize_and_interpolate(young_file, tmp_path, argv):
+    import blscales
+
+    src = str(Path(blscales.__file__).resolve().parents[1])
+    argv = argv + ["--input", young_file, "--output", str(tmp_path / "out.json")]
+    unused = ("scipy.optimize", "scipy.interpolate")
+    probe = (
+        f"import sys; from blscales.cli import main; code = main({argv!r}); "
+        f"print(code, sorted(m for m in {unused!r} if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "0 []"

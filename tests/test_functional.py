@@ -134,6 +134,97 @@ def test_auto_domain_empty_polytope(young_datum):
     assert val == 0.0
 
 
+def _linprog_domain(datum, boxes):
+    """The bounding box of {x : L_j x in box_j} by 2n linear programs."""
+    from scipy.optimize import linprog
+
+    A = np.vstack(datum.maps)
+    A_ub = np.vstack([A, -A])
+    b_ub = np.concatenate([b.hi for b in boxes] + [-np.asarray(b.lo) for b in boxes])
+    lo, hi = np.empty(datum.n), np.empty(datum.n)
+    for i in range(datum.n):
+        c = np.eye(datum.n)[i]
+        low = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(None, None), method="highs")
+        high = linprog(-c, A_ub=A_ub, b_ub=b_ub, bounds=(None, None), method="highs")
+        if low.status == 2 or high.status == 2:
+            return None
+        if low.status != 0 or high.status != 0:
+            raise UnboundedDomainError("unbounded")
+        lo[i], hi[i] = low.fun, -high.fun
+    return None if np.any(hi <= lo) else Box(lo, hi)
+
+
+def _domain_outcome(fn, datum, boxes):
+    try:
+        return fn(datum, boxes)
+    except UnboundedDomainError:
+        return "unbounded"
+
+
+def _assert_same_domain(datum, boxes):
+    ours = _domain_outcome(auto_domain, datum, boxes)
+    ref = _domain_outcome(_linprog_domain, datum, boxes)
+    if isinstance(ref, Box):
+        assert isinstance(ours, Box)
+        np.testing.assert_allclose(ours.lo, ref.lo, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(ours.hi, ref.hi, rtol=0.0, atol=1e-9)
+    else:
+        assert ours == ref
+    return ours
+
+
+def test_auto_domain_matches_linprog():
+    rng = np.random.default_rng(20)
+    kinds = {"box": 0, "empty": 0, "unbounded": 0}
+    for trial in range(160):
+        n = int(rng.integers(1, 6))
+        maps = []
+        for _ in range(int(rng.integers(2, 5))):
+            rows = int(rng.integers(1, n + 1))
+            if trial % 2:
+                maps.append(rng.standard_normal((rows, n)))
+            else:
+                maps.append(rng.integers(-2, 3, (rows, n)).astype(float))
+        # boxes around the images of one point, a third of them shifted off it
+        x0 = rng.standard_normal(n)
+        boxes = []
+        for L in maps:
+            c = L @ x0 + rng.standard_normal(L.shape[0]) * (rng.uniform() < 0.3)
+            w = rng.uniform(0.1, 2.0, L.shape[0])
+            boxes.append(Box(c - w, c + w))
+        out = _assert_same_domain(BLDatum(n=n, maps=maps, exponents=[1.0] * len(maps)), boxes)
+        kinds["empty" if out is None else "unbounded" if out == "unbounded" else "box"] += 1
+    assert min(kinds.values()) >= 5, kinds
+
+
+def test_auto_domain_edge_cases(monkeypatch):
+    from blscales import functional
+
+    line = [np.array([[1.0, 0.0]]), np.array([[2.0, 0.0]])]
+    datum = BLDatum(n=2, maps=line, exponents=[1.0, 1.0])
+    # rank 1 and empty: x in [0, 1] and 2x in [3, 4]; emptiness comes first
+    assert _assert_same_domain(datum, [Box([0.0], [1.0]), Box([3.0], [4.0])]) is None
+    # rank 1 and nonempty: a strip
+    assert _assert_same_domain(datum, [Box([0.0], [1.0]), Box([1.0], [4.0])]) == "unbounded"
+    # an all-zero map constrains nothing when its box holds 0, and empties P otherwise
+    zero = BLDatum(n=2, maps=[[[1.0, 0.0]], [[0.0, 1.0]], [[0.0, 0.0]]], exponents=[1.0] * 3)
+    unit = Box([0.0], [1.0])
+    assert _assert_same_domain(zero, [unit, unit, Box([-1.0], [1.0])]) == Box([0, 0], [1, 1])
+    assert _assert_same_domain(zero, [unit, unit, Box([0.5], [1.0])]) is None
+    # C(12, 6) 2^6 = 59136 candidates are above the cap: linear programs decide
+    rng = np.random.default_rng(5)
+    maps = [rng.standard_normal((3, 6)) for _ in range(4)]
+    assert math.comb(12, 6) * 2**6 > functional.VERTEX_CANDIDATES
+    x0 = rng.standard_normal(6)
+    boxes = [Box(L @ x0 - 1.0, L @ x0 + 1.0) for L in maps]
+
+    def no_enumeration(*args):
+        raise AssertionError("vertex enumeration above the cap")
+
+    monkeypatch.setattr(functional, "_vertices", no_enumeration)
+    assert isinstance(_assert_same_domain(BLDatum(n=6, maps=maps, exponents=[0.5] * 4), boxes), Box)
+
+
 def test_unbounded_domain_raises():
     # both maps kill e2, so the polytope is a full strip
     datum = BLDatum(
@@ -395,6 +486,43 @@ def test_poisson_certified_mu_is_sharp(d):
             assert poisson_kappa(mu * (1.0 + 1e-9), t, d) > kappa
     with pytest.raises(ValueError):
         poisson_certified_mu(1.3, 0.0, d)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sampled_function_matches_regular_grid_interpolator(dim):
+    from scipy.interpolate import RegularGridInterpolator
+
+    rng = np.random.default_rng(dim)
+    counts = (400, 13, 7)[:dim]
+    starts = rng.uniform(-3.0, 3.0, dim)
+    steps = rng.uniform(0.01, 0.3, dim)
+    axes = [s + (np.arange(k) + 0.5) * h for s, h, k in zip(starts, steps, counts)]
+    vals = rng.uniform(0.0, 2.0, counts) * (rng.uniform(size=counts) < 0.9)
+    f = SampledFunction(axes, vals)
+    lo = np.array([a[0] for a in axes])
+    hi = np.array([a[-1] for a in axes])
+    margin = 0.5 * f.steps
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    pts = np.vstack(
+        [
+            rng.uniform(lo - 2.0 * margin, hi + 2.0 * margin, (4000, dim)),
+            nodes,
+            np.nextafter(nodes, -np.inf),
+            np.nextafter(nodes, np.inf),
+            [lo, hi, lo - 0.5 * margin, hi + 0.5 * margin, lo - 3.0, hi + 3.0],
+        ]
+    )
+    ours = f(pts)
+    ref = np.maximum(
+        RegularGridInterpolator(axes, vals, bounds_error=False, fill_value=0.0)(pts), 0.0
+    )
+    inside = np.all((pts >= lo) & (pts <= hi), axis=1)
+    assert np.all(ours[~inside] == 0.0) and inside.sum() > 2000
+    if dim == 2:
+        # scipy's compiled 2-D path multiplies the weights in another order
+        assert np.all(np.abs(ours - ref) <= 4.0 * np.spacing(ref))
+    else:
+        assert ours.tobytes() == ref.tobytes()
 
 
 def test_poisson_smooth_preserves_mass():

@@ -421,7 +421,7 @@ def test_recursive_step_absorbs_only_zero_mass(young_datum, monkeypatch):
 
     monkeypatch.setattr(nonlinear, "localized_ratio", failing(ZeroMassError("empty")))
     rep = recursive_step_check(nd, lp, f, x_grid, q, alpha=1.5, beta=0.3, beta_prime=0.4)
-    assert rep.entries[1].ratio == 0.0 and rep.entries[1].stderr == 0.0
+    assert rep.entries[1].ratio is None and rep.entries[1].stderr is None
     assert rep.max_ratio == rep.entries[0].ratio
 
     monkeypatch.setattr(nonlinear, "localized_ratio", failing(ValueError("not a mass")))
