@@ -208,9 +208,9 @@ class IndicatorFunction:
 
 
 class SampledFunction:
-    """Values on a uniform midpoint grid; evaluates by multilinear interpolation
-    between the nodes (zero outside the span of the nodes, so also on the
-    half-cell margin of the box)."""
+    """Nonnegative values on a uniform midpoint grid; evaluates by multilinear
+    interpolation between the nodes (zero outside the span of the nodes, so
+    also on the half-cell margin of the box)."""
 
     compact_support = True
 
@@ -219,6 +219,8 @@ class SampledFunction:
         self.values = np.asarray(values, dtype=float)
         if self.values.shape != tuple(len(a) for a in self.axes):
             raise ValueError("values shape does not match axes")
+        if np.any(self.values < 0.0):
+            raise ValueError("sampled values must be nonnegative")
         self.steps = np.array(
             [a[1] - a[0] if len(a) > 1 else 1.0 for a in self.axes]
         )
@@ -260,11 +262,20 @@ class SampledFunction:
         return np.maximum(value, 0.0)
 
     @property
-    def exact_mass(self):
-        return None
+    def exact_mass(self) -> float:
+        """Integral of the interpolant: the trapezoid rule on the nodes, whose
+        weight on each axis is half the distance between the two neighbours
+        of a node (an axis of one node spans no length and gives 0)."""
+        mass = self.values
+        for a in self.axes:
+            gaps = np.diff(a)
+            weights = 0.5 * (np.append(gaps, 0.0) + np.insert(gaps, 0, 0.0))
+            mass = np.tensordot(weights, mass, axes=(0, 0))
+        return float(mass)
 
     def native_mass(self) -> float:
-        """Integral of the grid representation itself."""
+        """Cell sum of the grid, sum(values) prod(steps): the mass that
+        `convolve_inputs` and `poisson_smooth` preserve exactly."""
         return float(self.values.sum() * np.prod(self.steps))
 
 
@@ -407,34 +418,28 @@ def pullback(maps, exponents, funcs) -> Callable:
     return values
 
 
-def integrate_function(
-    fn, q: QuadratureSpec, stream: int = 0, prefer_exact: bool = False
-):
-    """Integral of a single input over its support box.  Returns (value, err).
-
-    Sampled functions integrate their own grid exactly under tensor-grid.
-    prefer_exact short-circuits to the closed-form mass when one exists.
-    """
-    if prefer_exact:
-        mass = getattr(fn, "exact_mass", None)
-        if mass is not None:
-            return float(mass), 0.0
-    if isinstance(fn, SampledFunction) and q.method == "tensor-grid":
-        return fn.native_mass(), 0.0
+def integrate_function(fn, q: QuadratureSpec, stream: int = 0):
+    """Estimate of the integral of a single input over its support box under
+    the quadrature spec.  Returns (value, err)."""
     est = estimate(fn, q, stream, box=fn.box)
     return est.value, est.stderr
 
 
-def masses(funcs, q: QuadratureSpec, stream_base: int = 0, prefer_exact: bool = False) -> list:
-    """(mass, error) of each input, input j integrated on stream
-    stream_base + 1 + j.  Raises ZeroMassError when a mass is not positive."""
+def masses(funcs, q: QuadratureSpec, stream_base: int = 0) -> list:
+    """(mass, error) of each input: its closed-form `exact_mass` with error 0
+    when it has one (gaussian, indicator, sampled, callable given a mass),
+    otherwise the estimate of `integrate_function` on stream
+    stream_base + 1 + j for input j.  Raises ZeroMassError when a mass is not
+    positive."""
     out = []
     for j, f in enumerate(funcs):
-        mass, err = integrate_function(
-            f, q, stream=stream_base + 1 + j, prefer_exact=prefer_exact
-        )
+        mass = f.exact_mass
+        if mass is None:
+            mass, err = integrate_function(f, q, stream=stream_base + 1 + j)
+        else:
+            mass, err = float(mass), 0.0
         if not mass > 0.0:
-            raise ZeroMassError(f"input {j} has zero estimated mass")
+            raise ZeroMassError(f"input {j} has zero mass")
         out.append((mass, err))
     return out
 
@@ -543,10 +548,10 @@ def bl_functional(
 ) -> tuple:
     """Value of the functional and an error estimate.
 
-    Numerator and denominators are evaluated under the same quadrature spec so
-    that systematic quadrature bias largely cancels in the quotient.  Under
-    tensor-grid the error estimate is a half-resolution difference; under
-    monte-carlo it is a propagated standard error.
+    The numerator is estimated under the quadrature spec; the denominators
+    are the inputs' `masses`, exact wherever an input has a closed form.
+    Under tensor-grid the error estimate is a half-resolution difference;
+    under monte-carlo it is a propagated standard error.
     """
     bad = validate_datum(datum)
     if bad:
@@ -730,7 +735,10 @@ def ball_inequality_check(
 
     lhs = bl_f * bl_g
     rhs = bl_h_max * bl_conv
-    err_lhs = lhs * math.hypot(err_f / bl_f, err_g / bl_g)
+    err_lhs = lhs * math.hypot(
+        err_f / bl_f if bl_f > 0 else 0.0,
+        err_g / bl_g if bl_g > 0 else 0.0,
+    )
     err_rhs = rhs * math.hypot(
         err_h_max / bl_h_max if bl_h_max > 0 else 0.0,
         err_conv / bl_conv if bl_conv > 0 else 0.0,

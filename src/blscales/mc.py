@@ -151,14 +151,12 @@ def sample_sums(fn, draw, samples: int, seed: int, stream: int, outside=None) ->
     """Sum of fn and its centred sum of squares over `samples` points of
     stream (seed, stream).
 
-    Chunk c draws its points as draw(chunk_generator(seed, stream, c), size).
-    fn returns a row of values, or a C-ordered stack of rows that are summed
-    row by row.  Each chunk's mean and centred sum of squares are merged
-    into the running ones by Chan, Golub and LeVeque's pairwise update, so
-    the spread is never the difference of two large sums.  With `outside` (a
-    point mask) the sum over the masked points is returned too; fn must then
-    return a single row.  Returns (total, m2, boundary, count), `total` the
-    plain sum.
+    Chunk c draws its points as draw(chunk_generator(seed, stream, c), size)
+    and fn returns one value per point.  Each chunk's mean and centred sum of
+    squares are merged into the running ones by Chan, Golub and LeVeque's
+    pairwise update, so the spread is never the difference of two large sums.
+    With `outside` (a point mask) the sum over the masked points is returned
+    too.  Returns (total, m2, boundary, count), `total` the plain sum.
     """
     total = 0.0
     mean = 0.0
@@ -168,14 +166,14 @@ def sample_sums(fn, draw, samples: int, seed: int, stream: int, outside=None) ->
     for index, size in iter_chunks(samples):
         pts = draw(chunk_generator(seed, stream, index), size)
         vals = fn(pts)
-        chunk_total = vals.sum(axis=-1).astype(float)
+        chunk_total = float(vals.sum())
         total += chunk_total
         chunk_mean = chunk_total / size
-        dev = vals - np.expand_dims(chunk_mean, -1)
+        dev = vals - chunk_mean
         delta = chunk_mean - mean
         merged = count + size
         mean = mean + delta * (size / merged)
-        m2 = m2 + (dev * dev).sum(axis=-1) + delta * delta * (count * size / merged)
+        m2 = m2 + float((dev * dev).sum()) + delta * delta * (count * size / merged)
         count = merged
         if outside is not None:
             boundary += float(vals[outside(pts)].sum())

@@ -346,11 +346,11 @@ def localized_ratio(
 
     Inputs must belong to the (mu, kappa)-constancy class; with certify set
     the membership is spot-checked by sampling and a failure raises
-    UncertifiedInputError with a witness pair.  Denominators use closed-form
-    masses when available (gaussian and indicator inputs), otherwise their own
-    estimate; the numerator follows the quadrature spec.  Under monte-carlo,
-    gaussian inputs are importance-sampled from the gaussian of the datum
-    linearized at the centre, which carries nearly all of the integrand.
+    UncertifiedInputError with a witness pair.  The denominators are the
+    inputs' `masses`, and the numerator follows the quadrature spec.  Under
+    monte-carlo, gaussian inputs are importance-sampled from the gaussian of
+    the datum linearized at the centre, which carries nearly all of the
+    integrand.
     """
     if len(f.functions) != nd.m:
         raise ValueError(f"{len(f.functions)} inputs for {nd.m} submersions")
@@ -377,7 +377,7 @@ def localized_ratio(
         ball=(lp.u, lp.radius),
         proposal=_linearized_gaussian(nd, f.functions, lp.u),
     )
-    dens = masses(f.functions, q, _stream_base, prefer_exact=True)
+    dens = masses(f.functions, q, _stream_base)
     return quotient(num.value, num.stderr, dens, nd.exponents)
 
 

@@ -27,6 +27,7 @@ from blscales.functional import (
     convolve_inputs,
     integrate_function,
     localized_max,
+    masses,
     poisson_certified_mu,
     poisson_kappa,
     poisson_smooth,
@@ -103,13 +104,20 @@ def test_loomis_whitney_indicators(lw_datum):
 
 
 def test_integrate_function_exact_and_estimated():
+    # integrate_function always estimates; masses takes a closed form when
+    # the input has one and estimates on stream stream_base + 1 + j otherwise
     f = GaussianFunction([[2.0]])
     q = QuadratureSpec(resolution=256)
     val, err = integrate_function(f, q)
     assert val == pytest.approx(f.exact_mass, rel=1e-9)
-    exact, zero = integrate_function(f, q, prefer_exact=True)
-    assert zero == 0.0
-    assert exact == f.exact_mass
+    assert masses([f], q) == [(f.exact_mass, 0.0)]
+    mc_q = QuadratureSpec(method="monte-carlo", resolution=5000, seed=3)
+    bare = CallableFunction(f, f.box)
+    given = CallableFunction(f, f.box, mass=0.5)
+    assert masses([given, bare], mc_q, stream_base=10) == [
+        (0.5, 0.0),
+        integrate_function(bare, mc_q, stream=12),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +243,49 @@ def test_unbounded_domain_raises():
     inputs = indicator_tuple(0.0, 1.0, heights=(1.0, 1.0))
     with pytest.raises(UnboundedDomainError):
         bl_functional(datum, inputs, QuadratureSpec(resolution=64))
+
+
+def _exact_gaussian_bl(datum, inputs):
+    """BL of gaussians c_j exp(-pi A_j (y - a_j)^2) under linear maps:
+    prod c_j^{p_j} det(M)^{-1/2} exp(-pi (sum p_j a_j A_j a_j - b M^-1 b)),
+    M = sum p_j L_j^T A_j L_j and b = sum p_j L_j^T A_j a_j, over the
+    closed-form masses."""
+    M = np.zeros((datum.n, datum.n))
+    b = np.zeros(datum.n)
+    expo = 0.0
+    log_ratio = 0.0
+    for L, p, f in zip(datum.maps, datum.exponents, inputs.functions):
+        M += p * L.T @ f.A @ L
+        b += p * L.T @ f.A @ f.center
+        expo += p * f.center @ f.A @ f.center
+        log_ratio += p * (math.log(f.amplitude) - math.log(f.exact_mass))
+    expo -= b @ np.linalg.solve(M, b)
+    return math.exp(log_ratio - math.pi * expo) / math.sqrt(np.linalg.det(M))
+
+
+def test_bl_functional_error_bars_are_calibrated(young_datum):
+    # z = (estimate - exact) / stderr over seeds is close to standard normal;
+    # the denominators are exact, so the spread is the numerator's alone
+    for k in range(3):
+        rng = np.random.default_rng(k)
+        inputs = InputTuple(
+            [
+                GaussianFunction([[a]], c, [m])
+                for a, c, m in zip(
+                    rng.uniform(0.5, 2.0, 3), rng.uniform(0.5, 2.0, 3), rng.uniform(-0.5, 0.5, 3)
+                )
+            ]
+        )
+        exact = _exact_gaussian_bl(young_datum, inputs)
+        z = []
+        for seed in range(150):
+            q = QuadratureSpec(method="monte-carlo", resolution=20000, seed=seed)
+            value, err = bl_functional(young_datum, inputs, q)
+            z.append((value - exact) / err)
+        z = np.array(z)
+        assert 0.8 <= z.std(ddof=1) <= 1.25
+        assert np.sum(np.abs(z) > 3.0) <= 3
+        assert abs(z.mean()) <= 0.35
 
 
 def test_zero_mass_raises(young_datum):
@@ -422,8 +473,26 @@ def test_ball_check_is_invariant_under_input_scaling(young_datum, kind, q):
     assert scaled.verdict == base.verdict
 
 
+@pytest.mark.parametrize(
+    "q",
+    [QuadratureSpec(resolution=64), QuadratureSpec(method="monte-carlo", resolution=20000)],
+    ids=["tensor-grid-64", "monte-carlo-2e4"],
+)
+def test_ball_check_with_vanishing_functional(young_datum, q):
+    # x1 and x2 in [0, 1] with x1 - x2 in [5, 6] is empty, so BL(f) = 0 and
+    # the left side is 0 with no error
+    f = InputTuple([IndicatorFunction(Box([lo], [lo + 1.0])) for lo in (0.0, 5.0, 0.0)])
+    g = indicator_tuple(-10.0, 10.0)
+    rep = ball_inequality_check(young_datum, f, g, np.zeros((1, 2)), q)
+    assert rep.bl_f == 0.0 and rep.bl_g > 0.0
+    assert rep.lhs == 0.0
+    assert math.isfinite(rep.stderr)
+    assert rep.slack >= 0.0
+
+
 def test_ball_check_estimates_each_integral_once(young_datum, monkeypatch):
-    # BL(f), BL(g), BL(f*g) and each BL(h^x): one numerator and three masses
+    # BL(f), BL(g), BL(f*g) and each BL(h^x): one numerator each, since every
+    # mass (gaussian, sampled convolution, gaussian product) has a closed form
     calls = []
     inner = mc.monte_carlo
 
@@ -437,7 +506,7 @@ def test_ball_check_estimates_each_integral_once(young_datum, monkeypatch):
     ball_inequality_check(
         young_datum, f, g, x_grid, QuadratureSpec(method="monte-carlo", resolution=20000)
     )
-    assert len(calls) == 4 * (3 + len(x_grid)) == 24
+    assert len(calls) == 3 + len(x_grid) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +555,38 @@ def test_poisson_certified_mu_is_sharp(d):
             assert poisson_kappa(mu * (1.0 + 1e-9), t, d) > kappa
     with pytest.raises(ValueError):
         poisson_certified_mu(1.3, 0.0, d)
+
+
+def test_sampled_function_rejects_negative_values():
+    with pytest.raises(ValueError, match="nonnegative"):
+        SampledFunction([np.arange(3.0)], np.array([1.0, -1e-12, 2.0]))
+
+
+def test_sampled_mass_is_the_interpolant_integral():
+    # ten unit cells on [0, 1]: the interpolant is 1 between the first and the
+    # last node and 0 on the half-cell margins, so the mass is 0.9 (the cell
+    # sum is 1.0) under either method
+    cells = SampledFunction([(np.arange(10) + 0.5) / 10], np.ones(10))
+    assert cells.native_mass() == pytest.approx(1.0, rel=1e-15)
+    for q in (QuadratureSpec(), QuadratureSpec(method="monte-carlo", resolution=1000)):
+        assert masses([cells], q) == [(pytest.approx(0.9, rel=1e-15), 0.0)]
+    est, err = integrate_function(
+        cells, QuadratureSpec(method="monte-carlo", resolution=200_000, seed=1)
+    )
+    assert abs(est - 0.9) <= 4.0 * err
+    # the trapezoid rule in each axis on an uneven 2-D grid
+    rng = np.random.default_rng(7)
+    axes = [0.3 + (np.arange(13) + 0.5) * 0.2, -1.0 + (np.arange(7) + 0.5) * 0.05]
+    vals = rng.uniform(0.0, 2.0, (13, 7))
+    grid = SampledFunction(axes, vals)
+    inner = np.trapezoid(vals, axes[1], axis=1)
+    assert grid.exact_mass == pytest.approx(np.trapezoid(inner, axes[0]), rel=1e-13)
+    # an axis of one node spans no length
+    flat = SampledFunction([np.array([0.5]), axes[1]], vals[:1])
+    assert flat.exact_mass == 0.0
+    for q in (QuadratureSpec(), QuadratureSpec(method="monte-carlo", resolution=1000)):
+        with pytest.raises(ZeroMassError):
+            masses([flat], q)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

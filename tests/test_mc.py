@@ -119,7 +119,7 @@ def test_grid_estimate_error_is_half_resolution_difference():
     assert 0.0 < frac < 1.0
 
 
-def test_monte_carlo_stacked_rows_match_single_rows():
+def test_monte_carlo_sums_across_chunks():
     lo = np.array([-1.0, 0.0])
     hi = np.array([1.0, 0.5])
 
@@ -129,18 +129,12 @@ def test_monte_carlo_stacked_rows_match_single_rows():
     def f(pts):
         return np.exp(-np.sum(pts * pts, axis=1))
 
-    def g(pts):
-        return 1.0 + pts[:, 0] ** 2
-
     samples = 2 * CHUNK + 5
-    stacked, _, _, count = sample_sums(lambda p: np.stack([f(p), g(p)]), draw, samples, 4, 9)
+    total, _, _, count = sample_sums(f, draw, samples, 4, 9)
     assert count == samples
-    for row, fn in zip(stacked, (f, g)):
-        total, _, _, _ = sample_sums(fn, draw, samples, 4, 9)
-        assert row == total
     est = monte_carlo(f, draw, 1.0, samples, 4, 9)
     assert est.count == samples
-    assert est.value == pytest.approx(stacked[0] / samples, rel=1e-15)
+    assert est.value == pytest.approx(total / samples, rel=1e-15)
     assert 0.0 < est.stderr < 0.01
 
 
