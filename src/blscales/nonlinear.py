@@ -59,8 +59,12 @@ class Submersion:
     """A C^2 map R^n -> R^{n_j} with surjective differential.
 
     `map` is vectorized over rows of an (N, n) array; `jacobian` takes a single
-    point.  `c2_bound` bounds the Taylor remainder:
+    point.  `c2_bound` bounds the Taylor remainder in the euclidean norm:
     |B(y) - B(x) - dB(x)(y - x)| <= c2_bound |y - x|^2 on the working region.
+    The closed-form kappa certificate (`is_kappa_constant`) trusts it, so a
+    certificate is only as good as c2_bound: the registry's maps have exact
+    ones, except `young-affine-2d`, whose c2_bound is `_estimate_c2`'s sampled
+    maximum times 1.5.
     """
 
     map: Callable
@@ -84,8 +88,8 @@ class Submersion:
 def validate_submersion(s: Submersion) -> list:
     """Spot-check the jacobian and the quadratic remainder bound on 64 points
     of the ball of radius 0.5 about the base point.  Forward differences obey
-    |fd - dB e| <= c2 h (up to rounding) on the first 16, and sampled
-    remainders must respect c2_bound."""
+    |fd - dB e| <= c2 h (up to rounding) on the first 16, and the euclidean
+    norms of sampled remainders must respect c2_bound."""
     out = []
     gen = mc.chunk_generator(0, 11, 0)
     pts = mc.uniform_ball(gen, 64, s.base_point, 0.5)
@@ -117,7 +121,7 @@ def validate_submersion(s: Submersion) -> list:
     base_val = s(s.base_point[None, :])[0]
     rem = vals - base_val - (pts - s.base_point) @ J0.T
     norms2 = np.sum((pts - s.base_point) ** 2, axis=1)
-    excess = np.abs(rem).max(axis=1) - s.c2_bound * norms2 * (1.0 + FD_SLACK) - 1e-12
+    excess = np.linalg.norm(rem, axis=1) - s.c2_bound * norms2 * (1.0 + FD_SLACK) - 1e-12
     if np.any(excess > 0):
         k = int(np.argmax(excess))
         out.append(
@@ -226,6 +230,9 @@ class LocalizedProblem:
 # kappa-constancy
 
 
+KAPPA_ROUNDING = 1e-12  # relative margin on closed-form constancy bounds
+
+
 @dataclass
 class KappaReport:
     ok: bool
@@ -235,6 +242,63 @@ class KappaReport:
     witness_x: Optional[np.ndarray]
     witness_y: Optional[np.ndarray]
     samples: int
+    # certified (closed-form bound <= kappa), refuted (a sampled witness
+    # exceeds kappa) or sampled (no sampled pair exceeds kappa)
+    status: str
+
+
+@dataclass
+class Region:
+    """The ball B(center, radius), pushed through `submersion` unless that is
+    None.  Called as draw(gen, k), it maps k uniform points of the ball."""
+
+    submersion: Optional[Submersion]
+    center: np.ndarray
+    radius: float
+
+    def __post_init__(self):
+        self.center = np.asarray(self.center, dtype=float)
+
+    def __call__(self, gen, k):
+        pts = mc.uniform_ball(gen, k, self.center, self.radius)
+        return pts if self.submersion is None else self.submersion(pts)
+
+    def enclosure(self) -> tuple:
+        """A ball (centre, radius) containing the region; through a submersion
+        s, |s(y) - s(c)| <= |ds(c)|_2 r + c2_bound r^2 by the Taylor bound."""
+        s, c, r = self.submersion, self.center, self.radius
+        if s is None:
+            return c, r
+        J = np.atleast_2d(s.jacobian(c))
+        return s(c[None, :])[0], float(np.linalg.norm(J, 2)) * r + s.c2_bound * r * r
+
+
+def ball_sampler(center: np.ndarray, radius: float) -> Region:
+    return Region(None, center, radius)
+
+
+def image_sampler(submersion: Submersion, center: np.ndarray, radius: float) -> Region:
+    return Region(submersion, center, radius)
+
+
+def _gaussian_ratio_bound(fn, region, mu: float) -> Optional[float]:
+    """Closed-form bound on fn(z)/fn(z + h) over z in the region, |h| <= mu,
+    for a gaussian fn = c exp(-pi <A(z-a), z-a>):
+
+        log fn(z) - log fn(z + h) <= pi (2 mu |A(z-a)| + mu^2 |A|_2),
+
+    with |A(z-a)| <= |A(e-a)| + |A|_2 rho over the region's enclosing ball
+    B(e, rho).  The bound is inflated by KAPPA_ROUNDING, so that float
+    rounding cannot certify a level that exact arithmetic would not.  None
+    unless fn is a GaussianFunction and the region a Region."""
+    if not (isinstance(fn, GaussianFunction) and isinstance(region, Region)):
+        return None
+    centre, rho = region.enclosure()
+    norm_a = float(np.linalg.norm(fn.A, 2))
+    reach = float(np.linalg.norm(fn.A @ (centre - fn.center))) + norm_a * rho
+    log_ratio = math.pi * (2.0 * mu * reach + mu * mu * norm_a)
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_ratio)) * (1.0 + KAPPA_ROUNDING)
 
 
 def is_kappa_constant(
@@ -246,16 +310,31 @@ def is_kappa_constant(
     seed: int = 0,
     stream: int = 7,
 ) -> KappaReport:
-    """Sampled check that fn(x) <= kappa fn(y) whenever |x - y| <= mu, x in the
+    """Check that fn(x) <= kappa fn(y) whenever |x - y| <= mu, x in the
     region.  `sample_region(gen, k)` draws region points; the comparison point
     y ranges over the full mu-ball around x and may leave the region.
 
-    A sampled check can refute constancy but only support it; the report keeps
-    the worst ratio and its witness pair.  Pairs where either value underflows
-    into the subnormal range are skipped: their quotients are float
-    quantization noise, not evidence against constancy.  Exact zeros still
-    count, so fn(x) > 0 against fn(y) == 0 reports an infinite ratio.
+    A gaussian fn on a `Region` is first bounded in closed form
+    (`_gaussian_ratio_bound`); a bound <= kappa certifies constancy with no
+    sample drawn.  Otherwise point pairs are sampled, which can refute
+    constancy with a witness pair but not prove it; the report keeps the worst
+    ratio and its witness.  Pairs where either value underflows into the
+    subnormal range are skipped: their quotients are float quantization noise,
+    not evidence against constancy.  Exact zeros still count, so fn(x) > 0
+    against fn(y) == 0 reports an infinite ratio.
     """
+    bound = _gaussian_ratio_bound(fn, sample_region, mu)
+    if bound is not None and bound <= kappa:
+        return KappaReport(
+            ok=True,
+            kappa=kappa,
+            mu=mu,
+            worst_ratio=bound,
+            witness_x=None,
+            witness_y=None,
+            samples=0,
+            status="certified",
+        )
     worst = 0.0
     wx = wy = None
     count = 0
@@ -277,33 +356,17 @@ def is_kappa_constant(
             wx = x[k].copy()
             wy = y[k].copy()
         count += size
+    ok = bool(worst <= kappa)
     return KappaReport(
-        ok=bool(worst <= kappa),
+        ok=ok,
         kappa=kappa,
         mu=mu,
         worst_ratio=worst,
         witness_x=wx,
         witness_y=wy,
         samples=count,
+        status="sampled" if ok else "refuted",
     )
-
-
-def ball_sampler(center: np.ndarray, radius: float) -> Callable:
-    center = np.asarray(center, dtype=float)
-
-    def draw(gen, k):
-        return mc.uniform_ball(gen, k, center, radius)
-
-    return draw
-
-
-def image_sampler(submersion: Submersion, center: np.ndarray, radius: float) -> Callable:
-    inner = ball_sampler(center, radius)
-
-    def draw(gen, k):
-        return submersion(inner(gen, k))
-
-    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +408,12 @@ def localized_ratio(
     """The ratio int_{U_delta(u)} prod (f_j o B_j)^{p_j} / prod (int f_j)^{p_j}.
 
     Inputs must belong to the (mu, kappa)-constancy class; with certify set
-    the membership is spot-checked by sampling and a failure raises
-    UncertifiedInputError with a witness pair.  The denominators are the
-    inputs' `masses`, and the numerator follows the quadrature spec.  Under
-    monte-carlo, gaussian inputs are importance-sampled from the gaussian of
-    the datum linearized at the centre, which carries nearly all of the
-    integrand.
+    `is_kappa_constant` checks the membership (in closed form for gaussian
+    inputs) and a failure raises UncertifiedInputError with a witness pair.
+    The denominators are the inputs' `masses`, and the numerator follows the
+    quadrature spec.  Under monte-carlo, gaussian inputs are importance-sampled
+    from the gaussian of the datum linearized at the centre, which carries
+    nearly all of the integrand.
     """
     if len(f.functions) != nd.m:
         raise ValueError(f"{len(f.functions)} inputs for {nd.m} submersions")
@@ -505,11 +568,12 @@ def recursive_step_check(
     right side is a lower estimate of the true maximum.
 
     Kernel and product constancy levels, exp(delta^beta) and
-    kappa exp(delta^beta), are spot-checked and reported with witnesses; a
-    failed certification does not abort the comparison.  A point x whose h^x
-    vanishes (see `functional.localized_max`) gets a zero entry and no
-    certifications; DegenerateLocalizationError is raised when every point
-    does.
+    kappa exp(delta^beta), are checked by `is_kappa_constant`; each
+    certification records its status (certified, refuted or sampled), worst
+    ratio and sample count, and a failed one does not abort the comparison.
+    A point x whose h^x vanishes (see `functional.localized_max`) gets a
+    None/None entry and no certifications; DegenerateLocalizationError is
+    raised when every point does.
     """
     threshold = lp.delta ** (alpha + beta_prime)
     if lp.regime(alpha, beta_prime) == "base":
@@ -544,13 +608,14 @@ def recursive_step_check(
         for j, (s, gj, c, hj) in enumerate(
             zip(nd.submersions, g.functions, centres[ix], h.functions)
         ):
+            region = image_sampler(s, x, 2.0 * radius_fine)
             for kind, fn, level, stream in (
                 ("kernel", gj.reflected_at(c), bump, 500),
                 ("product", hj, kappa_fine, 900),
             ):
                 rep = is_kappa_constant(
                     fn,
-                    image_sampler(s, x, 2.0 * radius_fine),
+                    region,
                     lp.mu,
                     level,
                     samples=4096,
@@ -565,6 +630,8 @@ def recursive_step_check(
                         "level": level,
                         "ok": rep.ok,
                         "worst_ratio": rep.worst_ratio,
+                        "status": rep.status,
+                        "samples": rep.samples,
                     }
                 )
         lp_fine = LocalizedProblem(

@@ -253,7 +253,7 @@ def test_group_ratio_approaches_product_bound():
     for coarse, fine in zip(rows, rows[1:]):
         cushion = 3.0 * math.hypot(coarse.stderr, fine.stderr)
         assert abs(fine.ratio - target) <= abs(coarse.ratio - target) + cushion
-    assert abs(rows[-1].ratio - target) <= 0.01
+    assert abs(rows[-1].ratio - target) <= 1e-4
     for row in rows:
         assert row.slack >= -3.0 * row.stderr
 

@@ -43,3 +43,7 @@ def test_traced_op_passes_its_check(harness, tmp_path, name, counter):
     metrics = tr.summary(1, [], [])
     assert metrics[counter]["value"] > 0
     assert metrics["mc.estimates"]["value"] > 0
+    if name == "heis-induction":
+        # every constancy level is certified in closed form: no pair is sampled
+        assert metrics["nonlinear.is_kappa_constant.samples"]["value"] == 0
+        assert {c["status"] for c in out.certifications} == {"certified"}

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blscales import nonlinear
+from blscales.datum import BLDatum
 from blscales.functional import (
     Box,
     CallableFunction,
@@ -27,6 +30,7 @@ from blscales.nonlinear import (
     UncertifiedInputError,
     ball_sampler,
     base_case_check,
+    image_sampler,
     is_kappa_constant,
     lie_group_young,
     localization_radius,
@@ -146,6 +150,21 @@ def test_validate_submersion_flags_wrong_jacobian():
     assert any("finite difference" in m for m in msgs)
 
 
+def test_validate_submersion_reads_c2_in_the_euclidean_norm():
+    # the remainder (h1^2, h1^2) has max-norm <= |h|^2 but euclidean norm up
+    # to sqrt(2) |h|^2, which is the norm the kappa certificate relies on
+    def make(c2):
+        return Submersion(
+            map=lambda pts: np.atleast_2d(pts) + np.atleast_2d(pts)[:, :1] ** 2,
+            jacobian=lambda x: np.array([[1.0 + 2.0 * x[0], 0.0], [2.0 * x[0], 1.0]]),
+            base_point=np.zeros(2),
+            c2_bound=c2,
+        )
+
+    assert any("quadratic remainder" in m for m in validate_submersion(make(1.0)))
+    assert validate_submersion(make(math.sqrt(2.0))) == []
+
+
 def test_validate_submersion_flags_nonsurjective():
     s = Submersion(
         map=lambda pts: 0.0 * np.atleast_2d(pts)[:, :1],
@@ -209,6 +228,82 @@ def test_kappa_constancy_exact_zero_is_violation():
     assert math.isinf(rep.worst_ratio)
     assert float(fn(rep.witness_x[None, :])[0]) > 0.0
     assert float(fn(rep.witness_y[None, :])[0]) == 0.0
+
+
+def test_kappa_certificate_is_the_closed_form_bound():
+    # on a ball about the gaussian's centre the bound is the exact supremum
+    # exp(pi (2 R mu + mu^2)), inflated by the rounding margin only
+    fn = GaussianFunction(np.eye(1))
+    R, mu = 2.0, 0.05
+    analytic = math.exp(math.pi * (2.0 * R * mu + mu * mu))
+    region = ball_sampler(np.zeros(1), R)
+    rep = is_kappa_constant(fn, region, mu, analytic * (1.0 + 2e-12))
+    assert (rep.ok, rep.status, rep.samples) == (True, "certified", 0)
+    assert rep.witness_x is None and rep.witness_y is None
+    assert rep.worst_ratio == pytest.approx(analytic * (1.0 + 1e-12), rel=1e-14)
+    # at the level itself the margin withholds the certificate
+    at_level = is_kappa_constant(fn, region, mu, analytic, samples=2000)
+    assert (at_level.ok, at_level.status, at_level.samples) == (True, "sampled", 2000)
+    refuted = is_kappa_constant(fn, region, mu, 1.5, samples=2000)
+    assert (refuted.ok, refuted.status) == (False, "refuted")
+    # a plain callable region carries no geometry, so it is sampled
+    plain = is_kappa_constant(fn, lambda gen, k: region(gen, k), mu, 10.0, samples=2000)
+    assert plain.status == "sampled"
+
+
+def _random_region(rng, kind):
+    """A region of each kind the certificate encloses: a ball, or a ball
+    pushed through a linear map, the Heisenberg quotient map or a
+    perturbed-quadratic map."""
+    if kind == "ball":
+        d = int(rng.integers(1, 4))
+        return ball_sampler(rng.normal(size=d), rng.uniform(0.01, 1.0)), d
+    if kind == "linear":
+        d = int(rng.integers(1, 4))
+        n = d + int(rng.integers(0, 2))
+        datum = BLDatum(n=n, maps=[rng.normal(size=(d, n))], exponents=[1.0])
+        s = registry("linear", datum=datum).submersions[0]
+    elif kind == "heisenberg":
+        d, s = 3, registry("young-heisenberg").submersions[1]
+    else:
+        gamma = rng.uniform(0.0, 2.0)
+        d, s = 1, registry(f"perturbed-quadratic:{gamma}").submersions[int(rng.integers(0, 3))]
+    return image_sampler(s, rng.normal(scale=0.5, size=s.n), rng.uniform(0.01, 1.0)), d
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(["ball", "linear", "heisenberg", "perturbed"]),
+    seed=st.integers(0, 2**32 - 1),
+    mu=st.floats(1e-4, 0.1),
+)
+def test_kappa_certificate_bounds_the_sampled_ratio(kind, seed, mu):
+    rng = np.random.default_rng(seed)
+    region, d = _random_region(rng, kind)
+    B = rng.normal(size=(d, d))
+    fn = GaussianFunction(B @ B.T + 0.1 * np.eye(d), center=rng.normal(size=d))
+    rep = is_kappa_constant(fn, region, mu, math.inf)
+    assert (rep.status, rep.samples) == ("certified", 0)
+    # the same region as a plain callable: same points, sampled pairs
+    sampled = is_kappa_constant(fn, lambda gen, k: region(gen, k), mu, math.inf, samples=4096)
+    assert sampled.status == "sampled"
+    assert sampled.worst_ratio <= rep.worst_ratio
+
+
+def test_scaled_extremiser_below_the_certificate_is_refuted_by_sampling():
+    # the base case that the heis-induction schedule reaches (delta_0 0.05,
+    # alpha 1.5, k* = 2): at delta = 0.00118 the scaled extremiser is not
+    # 2.92-constant at scale mu = 5e-5; the closed form cannot certify it and
+    # the sampled check finds a witness
+    nd = registry("young-heisenberg")
+    f = scaled_extremiser_inputs(nd, 0.00118)
+    lp = LocalizedProblem(center=np.zeros(6), delta=0.00118, mu=5e-5, kappa=2.92)
+    with pytest.raises(UncertifiedInputError, match="input 0") as exc:
+        localized_ratio(nd, lp, f, QuadratureSpec(method="monte-carlo", resolution=1000))
+    wx, wy = exc.value.witness
+    fn = f.functions[0]
+    assert float(fn(wx[None, :])[0] / fn(wy[None, :])[0]) > 2.92
+    assert np.linalg.norm(wx - wy) <= lp.mu * (1.0 + 1e-12)
 
 
 def test_localized_ratio_matches_sharp_constant():
