@@ -139,7 +139,9 @@ class QuadratureSpec:
 
 
 class GaussianFunction:
-    """c exp(-pi <A (x - center), x - center>) with a nominal support box."""
+    """c exp(-pi <A (x - center), x - center>) with a nominal support box.
+    Its `log` is the closed form; the other inputs have none, and
+    `mc.log_integrand` takes the log of their values."""
 
     compact_support = False
 
@@ -157,7 +159,8 @@ class GaussianFunction:
         radii = RADIUS_SIGMAS * np.sqrt(cov_diag)
         self.box = Box(self.center - radii, self.center + radii)
 
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
+    def _quadratic(self, pts: np.ndarray) -> np.ndarray:
+        """pi <A (x - center), x - center>."""
         pts = np.atleast_2d(pts)
         dx = pts - self.center
         if dx.shape[1] >= 2:
@@ -165,7 +168,15 @@ class GaussianFunction:
         else:
             # three-operand form: faster for one dimension
             q = np.einsum("ni,ij,nj->n", dx, self.A, dx)
-        return self.amplitude * np.exp(-math.pi * q)
+        return math.pi * q
+
+    def log(self, pts: np.ndarray) -> np.ndarray:
+        """log c - pi <A (x - center), x - center>, -inf for c = 0."""
+        log_c = math.log(self.amplitude) if self.amplitude > 0.0 else -math.inf
+        return log_c - self._quadratic(pts)
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        return self.amplitude * np.exp(-self._quadratic(pts))
 
     @property
     def exact_mass(self) -> float:
@@ -347,17 +358,33 @@ class InputTuple:
 # the integral and ratio path: which estimator, which integrand, which quotient
 
 
-def _in_ball(fn, center: np.ndarray, radius_sq: float) -> Callable:
-    """fn on the closed ball of squared radius `radius_sq`, zero outside."""
+class Integrand:
+    """A nonnegative integrand given by its log: `log(pts)` is log F, -inf
+    where F vanishes, and calling it gives F = exp(log F), one exp a point."""
+
+    def __init__(self, log: Callable):
+        self.log = log
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        return np.exp(self.log(pts))
+
+
+def _in_ball(fn, center: np.ndarray, radius_sq: float) -> Integrand:
+    """fn on the closed ball of squared radius `radius_sq`, zero outside;
+    fn sees only the points inside, a block wholly inside without a copy."""
+    log = mc.log_integrand(fn)
 
     def masked(pts):
-        inside = np.sum((pts - center) ** 2, axis=1) <= radius_sq
-        out = np.zeros(pts.shape[0])
-        if np.any(inside):
-            out[inside] = fn(pts[inside])
+        dx = pts - center
+        inside = np.einsum("ni,ni->n", dx, dx) <= radius_sq
+        if inside.all():
+            return log(pts)
+        out = np.full(pts.shape[0], -np.inf)
+        if inside.any():
+            out[inside] = log(pts[inside])
         return out
 
-    return masked
+    return Integrand(masked)
 
 
 def estimate(
@@ -399,23 +426,25 @@ def estimate(
     return mc.monte_carlo(fn, draw, volume, q.resolution, q.seed, stream, outside)
 
 
-def pullback(maps, exponents, funcs) -> Callable:
-    """The integrand x -> prod_j f_j(B_j x)^{p_j}, factors with p_j = 0
-    skipped.  A map B_j is a callable on rows of points (a submersion) or a
-    matrix, applied to a row x as B_j x."""
+def pullback(maps, exponents, funcs) -> Integrand:
+    """The integrand x -> prod_j f_j(B_j x)^{p_j}, formed in log space as
+    exp(sum_j p_j log f_j(B_j x)) (`mc.log_integrand`), factors with
+    p_j = 0 skipped; a vanishing factor gives exactly 0.  A map B_j is a
+    callable on rows of points (a submersion) or a matrix, applied to a row x
+    as B_j x."""
     factors = [
-        (B if callable(B) else (lambda pts, L=np.asarray(B): pts @ L.T), p, f)
+        (B if callable(B) else (lambda pts, L=np.asarray(B): pts @ L.T), p, mc.log_integrand(f))
         for B, p, f in zip(maps, exponents, funcs)
         if p != 0.0
     ]
 
-    def values(pts):
-        vals = np.ones(pts.shape[0])
-        for B, p, f in factors:
-            vals *= f(B(pts)) ** p
-        return vals
+    def log(pts):
+        out = np.zeros(pts.shape[0])
+        for B, p, log_f in factors:
+            out += p * log_f(B(pts))
+        return out
 
-    return values
+    return Integrand(log)
 
 
 def integrate_function(fn, q: QuadratureSpec, stream: int = 0):

@@ -397,6 +397,46 @@ def _linearized_gaussian(nd: NonlinearDatum, funcs: Sequence, center: np.ndarray
     return -np.linalg.solve(M, b), M
 
 
+def certify_inputs(
+    nd: NonlinearDatum, lp: LocalizedProblem, f: InputTuple, q: QuadratureSpec
+) -> list:
+    """`is_kappa_constant` reports of each input f_j at level kappa and scale
+    mu over B_j(U_{2 r}(u)), on stream 50 + j.  The first input that fails
+    raises UncertifiedInputError with its witness pair."""
+    reports = []
+    for j, (s, fj) in enumerate(zip(nd.submersions, f.functions)):
+        rep = is_kappa_constant(
+            fj,
+            image_sampler(s, lp.u, 2.0 * lp.radius),
+            lp.mu,
+            lp.kappa,
+            seed=q.seed,
+            stream=50 + j,
+        )
+        if not rep.ok:
+            raise UncertifiedInputError(
+                f"input {j} is not {lp.kappa}-constant at scale {lp.mu}: "
+                f"worst sampled ratio {rep.worst_ratio:.6g}",
+                witness=(rep.witness_x, rep.witness_y),
+            )
+        reports.append(rep)
+    return reports
+
+
+def _certification(rep: KappaReport, x_index: Optional[int], j: int, kind: str) -> dict:
+    """The artifact entry of one constancy certification."""
+    return {
+        "x_index": x_index,
+        "input": j,
+        "kind": kind,
+        "level": rep.kappa,
+        "ok": rep.ok,
+        "worst_ratio": rep.worst_ratio,
+        "status": rep.status,
+        "samples": rep.samples,
+    }
+
+
 def localized_ratio(
     nd: NonlinearDatum,
     lp: LocalizedProblem,
@@ -408,7 +448,7 @@ def localized_ratio(
     """The ratio int_{U_delta(u)} prod (f_j o B_j)^{p_j} / prod (int f_j)^{p_j}.
 
     Inputs must belong to the (mu, kappa)-constancy class; with certify set
-    `is_kappa_constant` checks the membership (in closed form for gaussian
+    `certify_inputs` checks the membership (in closed form for gaussian
     inputs) and a failure raises UncertifiedInputError with a witness pair.
     The denominators are the inputs' `masses`, and the numerator follows the
     quadrature spec.  Under monte-carlo, gaussian inputs are importance-sampled
@@ -418,21 +458,7 @@ def localized_ratio(
     if len(f.functions) != nd.m:
         raise ValueError(f"{len(f.functions)} inputs for {nd.m} submersions")
     if certify:
-        for j, (s, fj) in enumerate(zip(nd.submersions, f.functions)):
-            rep = is_kappa_constant(
-                fj,
-                image_sampler(s, lp.u, 2.0 * lp.radius),
-                lp.mu,
-                lp.kappa,
-                seed=q.seed,
-                stream=50 + j,
-            )
-            if not rep.ok:
-                raise UncertifiedInputError(
-                    f"input {j} is not {lp.kappa}-constant at scale {lp.mu}: "
-                    f"worst sampled ratio {rep.worst_ratio:.6g}",
-                    witness=(rep.witness_x, rep.witness_y),
-                )
+        certify_inputs(nd, lp, f, q)
     num = estimate(
         pullback(nd.submersions, nd.exponents, f.functions),
         q,
@@ -544,6 +570,8 @@ class RecursiveReport(Report):
     certifications: list
     delta_fine: float
     kappa_fine: float
+    lhs_certifications: list
+    admissible: bool
 
 
 def recursive_step_check(
@@ -567,13 +595,18 @@ def recursive_step_check(
     the supplied x grid (a finite subgrid of 2 U_delta(u)), so the reported
     right side is a lower estimate of the true maximum.
 
-    Kernel and product constancy levels, exp(delta^beta) and
-    kappa exp(delta^beta), are checked by `is_kappa_constant`; each
-    certification records its status (certified, refuted or sampled), worst
-    ratio and sample count, and a failed one does not abort the comparison.
-    A point x whose h^x vanishes (see `functional.localized_max`) gets a
-    None/None entry and no certifications; DegenerateLocalizationError is
-    raised when every point does.
+    The left side's inputs are certified first (`certify_inputs`, recorded in
+    `lhs_certifications` with kind "input" and no x index); a failure raises
+    UncertifiedInputError.  Kernel and product constancy levels,
+    exp(delta^beta) and kappa exp(delta^beta), are checked by
+    `is_kappa_constant`; each certification records its status (certified,
+    refuted or sampled), worst ratio and sample count, and a failed one does
+    not abort the comparison.  The step is `admissible` when every
+    certification is ok; a step that is not reports "inconclusive", since the
+    inequality is only claimed for admissible inputs.  A point x whose h^x
+    vanishes (see `functional.localized_max`) gets a None/None entry and no
+    certifications; DegenerateLocalizationError is raised when every point
+    does.
     """
     threshold = lp.delta ** (alpha + beta_prime)
     if lp.regime(alpha, beta_prime) == "base":
@@ -589,7 +622,11 @@ def recursive_step_check(
         if np.linalg.norm(x - lp.u) > outer * (1.0 + 1e-9):
             raise ValueError("x grid leaves the doubled localization ball")
 
-    lhs, lhs_err = localized_ratio(nd, lp, f, q, certify=True, _stream_base=0)
+    lhs_certifications = [
+        _certification(rep, None, j, "input")
+        for j, rep in enumerate(certify_inputs(nd, lp, f, q))
+    ]
+    lhs, lhs_err = localized_ratio(nd, lp, f, q, certify=False, _stream_base=0)
 
     delta_fine = lp.delta**alpha
     radius_fine = localization_radius(delta_fine)
@@ -622,18 +659,7 @@ def recursive_step_check(
                     seed=q.seed,
                     stream=stream + 10 * ix + j,
                 )
-                certifications.append(
-                    {
-                        "x_index": ix,
-                        "input": j,
-                        "kind": kind,
-                        "level": level,
-                        "ok": rep.ok,
-                        "worst_ratio": rep.worst_ratio,
-                        "status": rep.status,
-                        "samples": rep.samples,
-                    }
-                )
+                certifications.append(_certification(rep, ix, j, kind))
         lp_fine = LocalizedProblem(
             center=tuple(x), delta=delta_fine, mu=lp.mu, kappa=kappa_fine
         )
@@ -649,6 +675,7 @@ def recursive_step_check(
     slack = rhs - lhs
     sigma = math.hypot(lhs_err, rhs_err)
     gap = abs(lhs - max_ratio)
+    admissible = all(c["ok"] for c in lhs_certifications + certifications)
     return RecursiveReport(
         lhs=lhs,
         lhs_err=lhs_err,
@@ -657,12 +684,14 @@ def recursive_step_check(
         rhs=rhs,
         rhs_err=rhs_err,
         slack=slack,
-        verdict=mc.verdict(slack, sigma),
+        verdict=mc.verdict(slack, sigma) if admissible else "inconclusive",
         equality_gap=gap,
         entries=entries,
         certifications=certifications,
         delta_fine=delta_fine,
         kappa_fine=kappa_fine,
+        lhs_certifications=lhs_certifications,
+        admissible=admissible,
     )
 
 

@@ -278,6 +278,31 @@ def test_nonlinear_wrong_regime_exits_one(tmp_path):
     assert code == 1
 
 
+def test_nonlinear_refuted_certifications_are_not_a_pass(tmp_path):
+    # at delta0 0.0112 the fine-scale kernels are far from exp(delta^beta)-
+    # constant at scale mu: the comparison's slack is positive, but a step
+    # whose inputs are not admissible proves nothing
+    out = tmp_path / "r.json"
+    code = run(
+        [
+            "nonlinear", "--group", "young-heisenberg", "--delta0", "0.0112",
+            "--mu", "5e-5", "--method", "monte-carlo", "--resolution", "20000",
+            "--seed", "1", "--output", str(out),
+        ]
+    )
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["slack"] > 0.0
+    assert {c["status"] for c in doc["certifications"]} == {"refuted"}
+    assert doc["verdict"] == "inconclusive"
+    assert doc["admissible"] is False
+    # the left side's inputs are certified, and recorded
+    assert [c["input"] for c in doc["lhs_certifications"]] == [0, 1, 2]
+    assert {c["status"] for c in doc["lhs_certifications"]} == {"certified"}
+    assert all(c["kind"] == "input" and c["x_index"] is None for c in doc["lhs_certifications"])
+    assert all(c["level"] == doc["kappa"] for c in doc["lhs_certifications"])
+
+
 def test_nonlinear_linear_tag_needs_input(tmp_path):
     assert (
         run(

@@ -2,9 +2,12 @@
 check, and Poisson smoothing."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blscales import mc
 from blscales.datum import BLDatum
@@ -31,8 +34,10 @@ from blscales.functional import (
     poisson_certified_mu,
     poisson_kappa,
     poisson_smooth,
+    pullback,
 )
 from blscales.gaussians import gaussian_bl_value
+from blscales.nonlinear import registry
 
 ROOT3_OVER_2 = 0.8660254037844386
 
@@ -690,3 +695,65 @@ def test_estimate_agrees_across_estimators_on_a_ball():
     assert grid.stderr < 1e-4
     for est in (uniform, importance):
         assert abs(est.value - grid.value) <= 4.0 * est.stderr + grid.stderr
+
+
+# ---------------------------------------------------------------------------
+# the log-space pullback
+
+
+def _random_input(rng, kind: str, dim: int):
+    """An input on R^dim of the given kind; all but a gaussian of positive
+    amplitude vanish on part of the region the test's points reach."""
+    lo = rng.uniform(-2.0, 0.0, dim)
+    hi = lo + rng.uniform(1.0, 3.0, dim)
+    if kind == "gaussian":
+        B = rng.normal(size=(dim, dim))
+        amplitude = 0.0 if rng.random() < 0.2 else rng.uniform(0.2, 3.0)
+        return GaussianFunction(B @ B.T / dim + 0.2 * np.eye(dim), amplitude, rng.normal(size=dim))
+    if kind == "indicator":
+        return IndicatorFunction(Box(lo, hi), rng.uniform(0.2, 3.0))
+    if kind == "sampled":
+        axes = [np.linspace(a, b, 5) for a, b in zip(lo, hi)]
+        values = rng.uniform(0.0, 2.0, (5,) * dim)
+        values[rng.random(values.shape) < 0.3] = 0.0
+        return SampledFunction(axes, values)
+    shift = rng.normal(size=dim)
+    return CallableFunction(
+        lambda pts: np.maximum(1.0 - np.sum((pts - shift) ** 2, axis=1) / 4.0, 0.0) ** 2,
+        Box(shift - 2.0, shift + 2.0),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kinds=st.lists(
+        st.sampled_from(["gaussian", "indicator", "sampled", "callable"]), min_size=3, max_size=3
+    ),
+    exponents=st.lists(
+        st.sampled_from([0.0, 0.25, 0.5, 2.0 / 3.0, 1.0]), min_size=3, max_size=3
+    ),
+    heisenberg=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pullback_is_the_product_of_powers(kinds, exponents, heisenberg, seed):
+    rng = np.random.default_rng(seed)
+    if heisenberg:
+        maps = registry("young-heisenberg").submersions
+        n, dims = 6, [3, 3, 3]
+    else:
+        n = 3
+        dims = [int(d) for d in rng.integers(1, 3, size=3)]
+        maps = [rng.normal(size=(d, n)) for d in dims]
+    funcs = [_random_input(rng, kind, d) for kind, d in zip(kinds, dims)]
+    pts = rng.uniform(-1.0, 1.0, (500, n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = pullback(maps, exponents, funcs)(pts)
+    expected = np.ones(len(pts))
+    for B, p, f in zip(maps, exponents, funcs):
+        if p != 0.0:
+            image = B(pts) if callable(B) else pts @ B.T
+            expected *= f(image) ** p
+    zero = expected == 0.0
+    assert np.all(got[zero] == 0.0)
+    np.testing.assert_allclose(got[~zero], expected[~zero], rtol=1e-12, atol=0.0)

@@ -1,10 +1,14 @@
 """Determinism contracts for the chunked generators."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from blscales import mc
 from blscales.functional import Box
 from blscales.mc import (
+    BLOCK,
     CHUNK,
     MAX_GRID_POINTS,
     ROUNDING,
@@ -150,6 +154,54 @@ def test_monte_carlo_stderr_floor_on_constant_integrand():
     assert est.stderr > 0.0
     assert est.stderr == ROUNDING * est.value
     assert verdict(est.value - 2.0, est.stderr) == "inconclusive"
+
+
+def test_sample_sums_do_not_depend_on_the_block(monkeypatch):
+    # 70,001 samples: one full chunk and a short one, neither a whole number
+    # of blocks
+    lo = np.array([-1.0, 0.0])
+    hi = np.array([1.0, 0.5])
+    rows = []
+
+    def draw(gen, size):
+        return uniform_box(gen, size, lo, hi)
+
+    def f(pts):
+        rows.append(len(pts))
+        return np.exp(-np.sum(pts * pts, axis=1))
+
+    def outside(pts):
+        return pts[:, 0] > 0.9
+
+    samples = 70_001
+    blocked = sample_sums(f, draw, samples, 5, 3, outside)
+    assert max(rows) == BLOCK < CHUNK
+    assert sum(rows) == samples
+    monkeypatch.setattr(mc, "BLOCK", CHUNK)
+    rows.clear()
+    assert sample_sums(f, draw, samples, 5, 3, outside) == blocked
+    assert rows == [CHUNK, samples - CHUNK]
+
+
+def test_gaussian_importance_of_a_vanishing_integrand_is_zero():
+    # a plain callable enters the weight through its log: zeros give -inf
+    # exponents, exact zero weights and no warning
+    precision = np.eye(2)
+
+    def half(pts):
+        # the proposal's density on a half plane: weights 1 there, 0 elsewhere
+        return np.where(pts[:, 0] > 0.0, np.exp(-np.pi * np.sum(pts * pts, axis=1)), 0.0)
+
+    def nothing(pts):
+        return np.zeros(len(pts))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        est = gaussian_importance(half, np.zeros(2), precision, 20000, 1, 2)
+        zero = gaussian_importance(nothing, np.zeros(2), precision, 5000, 1, 2)
+    assert (zero.value, zero.stderr) == (0.0, 0.0)
+    assert abs(est.value - 0.5) <= 4.0 * est.stderr
+    assert est.stderr == pytest.approx(0.5 / np.sqrt(20000), rel=0.01)
 
 
 def test_gaussian_importance_integrates_gaussians():

@@ -390,6 +390,18 @@ def test_localized_ratio_callable_inputs_sample_the_ball_uniformly():
     assert (ratio, err) == (0.8614612265381897, 0.003393603629245855)
 
 
+def test_localized_ratio_heisenberg_anchor():
+    # the importance-sampled integral of heis-induction: a change of the
+    # monte-carlo kernel that keeps the samples may move it by rounding only
+    nd = registry("young-heisenberg")
+    f = scaled_extremiser_inputs(nd, 0.05)
+    lp = LocalizedProblem(center=np.zeros(6), delta=0.05, mu=5e-5, kappa=1.5)
+    q = QuadratureSpec(method="monte-carlo", resolution=50_000, seed=3)
+    ratio, err = localized_ratio(nd, lp, f, q, certify=False)
+    assert ratio == pytest.approx(0.6495164715135379, rel=1e-12)
+    assert err == pytest.approx(2.5519128568971822e-05, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # base case
 
@@ -482,6 +494,41 @@ def test_recursive_step_rejects_far_x(young_datum):
             nd, lp, f, np.array([[1.0, 0.0]]), QuadratureSpec(resolution=64),
             alpha=1.5, beta=0.3, beta_prime=0.4,
         )
+
+
+def test_recursive_step_records_the_left_side_certifications(young_datum):
+    nd = registry("linear", datum=young_datum)
+    lp = LocalizedProblem(center=(0.0, 0.0), delta=0.05, mu=1e-6, kappa=2.0)
+    f = scaled_extremiser_inputs(nd, 0.05)
+    x_grid = np.array([[0.0, 0.0], [0.05, -0.04]])
+    rep = recursive_step_check(
+        nd, lp, f, x_grid, QuadratureSpec(resolution=64), alpha=1.5, beta=0.3, beta_prime=0.4
+    )
+    assert rep.admissible is True
+    assert rep.verdict == "pass"
+    assert [c["input"] for c in rep.lhs_certifications] == [0, 1, 2]
+    for c in rep.lhs_certifications:
+        assert (c["x_index"], c["kind"], c["level"]) == (None, "input", 2.0)
+        assert (c["ok"], c["status"], c["samples"]) == (True, "certified", 0)
+        assert 1.0 <= c["worst_ratio"] <= 2.0
+    assert set(rep.lhs_certifications[0]) == set(rep.certifications[0])
+
+
+def test_recursive_step_raises_on_uncertified_left_side(young_datum):
+    # the witness is the one `localized_ratio` finds on the same streams
+    nd = registry("linear", datum=young_datum)
+    lp = LocalizedProblem(center=(0.0, 0.0), delta=0.05, mu=0.01, kappa=1.5)
+    f = scaled_extremiser_inputs(nd, 0.05)
+    q = QuadratureSpec(resolution=64)
+    with pytest.raises(UncertifiedInputError) as direct:
+        localized_ratio(nd, lp, f, q)
+    with pytest.raises(UncertifiedInputError) as step:
+        recursive_step_check(
+            nd, lp, f, np.zeros((1, 2)), q, alpha=1.5, beta=0.3, beta_prime=0.01
+        )
+    assert str(step.value) == str(direct.value)
+    for a, b in zip(step.value.witness, direct.value.witness):
+        assert np.array_equal(a, b)
 
 
 def test_recursive_step_raises_when_every_localized_tuple_vanishes(young_datum):
