@@ -19,75 +19,55 @@ import numpy as np
 
 SVD_RTOL = 1e-10
 SCALING_TOL = 1e-12
+SAME_TOL = 1e-8  # projector distance below which two subspaces are the same
 
 
 class DatumError(ValueError):
     pass
 
 
-def _rank(a: np.ndarray, rtol: float = SVD_RTOL) -> int:
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rtol * s[0]))
+def _count(s: np.ndarray, scale: Optional[float] = None) -> int:
+    """The rank rule: how many singular values s exceed SVD_RTOL * scale (default s[0])."""
+    scale = s[0] if scale is None else scale
+    return int(np.sum(s > SVD_RTOL * scale)) if scale > 0.0 else 0
 
 
-def _rank_at_scale(a: np.ndarray, scale: float, rtol: float = SVD_RTOL) -> int:
-    """Rank with singular values measured against an external scale.
+def _rank(a: np.ndarray, scale: Optional[float] = None) -> int:
+    """Numerical rank of `a`.
 
-    A tolerance relative to the product's own top singular value cannot tell a
+    A tolerance relative to a product's own top singular value cannot tell a
     genuinely zero product from one that is zero up to rounding, so callers
     that form products pass the factors' combined scale instead.
     """
-    if a.size == 0 or scale <= 0.0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(s > rtol * scale))
+    return _count(np.linalg.svd(a, compute_uv=False), scale) if a.size else 0
 
 
-def _orth(a: np.ndarray, rtol: float = SVD_RTOL) -> np.ndarray:
+def _orth(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) for the column span of `a`."""
     if a.size == 0:
         return np.zeros((a.shape[0], 0))
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[0], 0))
-    r = int(np.sum(s > rtol * s[0]))
-    return u[:, :r]
+    return u[:, : _count(s)]
 
 
-def _null(a: np.ndarray, rtol: float = SVD_RTOL) -> np.ndarray:
+def _null(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) for the kernel of `a`."""
-    n = a.shape[1]
     if a.size == 0:
-        return np.eye(n)
-    u, s, vt = np.linalg.svd(a)
-    r = int(np.sum(s > rtol * s[0])) if s.size and s[0] > 0 else 0
-    return vt[r:].T.copy()
+        return np.eye(a.shape[1])
+    _, s, vt = np.linalg.svd(a)
+    return vt[_count(s) :].T.copy()
 
 
-def _perp(basis: np.ndarray) -> np.ndarray:
-    """Orthogonal complement of a subspace given by basis columns."""
-    return _null(basis.T) if basis.shape[1] else np.eye(basis.shape[0])
+def _sum_and_intersection(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Bases of V + W and of V cap W, for orthonormal bases a of V and b of W.
 
-
-def _span_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _orth(np.hstack([a, b]))
-
-
-def _span_intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # V cap W = (V_perp + W_perp)_perp
-    return _perp(_span_sum(_perp(a), _perp(b)))
-
-
-def _same_subspace(a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> bool:
-    if a.shape[1] != b.shape[1]:
-        return False
-    pa = a @ a.T
-    pb = b @ b.T
-    return bool(np.linalg.norm(pa - pb) <= tol)
+    One SVD of [a, -b] gives both: its leading left singular vectors span the
+    sum, and its kernel holds the pairs (x, y) with a x = b y, whose x-parts
+    map onto the intersection.
+    """
+    u, s, vt = np.linalg.svd(np.hstack([a, -b]))
+    r = _count(s)
+    return u[:, :r], _orth(a @ vt[r:, : a.shape[1]].T)
 
 
 @dataclass
@@ -184,7 +164,7 @@ def criterion_slack(datum: BLDatum, basis: np.ndarray) -> float:
         return 0.0
     basis_scale = float(np.linalg.norm(basis, 2))
     total = math.fsum(
-        p * _rank_at_scale(L @ basis, float(np.linalg.norm(L, 2)) * basis_scale)
+        p * _rank(L @ basis, float(np.linalg.norm(L, 2)) * basis_scale)
         for p, L in zip(datum.exponents, datum.maps)
     )
     return total - k
@@ -221,22 +201,32 @@ class FinitenessReport(Report):
         return out
 
 
-def _dedup(subspaces: list) -> list:
-    out = []
-    for b in subspaces:
-        if not any(_same_subspace(b, c) for c in out):
-            out.append(b)
-    return out
+class _Family:
+    """Distinct subspaces in insertion order: `bases` is the input less repeats.
+
+    Two subspaces are the same when their projectors are within SAME_TOL in
+    Frobenius norm (projectors of different rank are at least 1 apart); a
+    candidate is compared with every stored projector in one expression.
+    """
+
+    def __init__(self, subspaces: list):
+        self.bases, self._proj = [], np.empty((0, subspaces[0].shape[0] ** 2))
+        for b in subspaces:
+            self.add(b)
+
+    def add(self, b: np.ndarray) -> bool:
+        """Append b unless the family already holds it; True when appended."""
+        p = (b @ b.T).ravel()
+        if np.any(np.linalg.norm(self._proj - p, axis=1) <= SAME_TOL):
+            return False
+        self._proj = np.vstack([self._proj, p])
+        self.bases.append(b)
+        return True
 
 
 def _base_family(datum: BLDatum) -> list:
     """Kernels and the common kernel; always part of the checked family."""
-    fam = [_null(L) for L in datum.maps]
-    common = fam[0]
-    for k in fam[1:]:
-        common = _span_intersect(common, k)
-    fam.append(common)
-    return fam
+    return [_null(L) for L in datum.maps] + [_null(np.vstack(datum.maps))]
 
 
 def _rank_one_family(datum: BLDatum) -> list:
@@ -252,43 +242,45 @@ def _rank_one_family(datum: BLDatum) -> list:
         for subset in itertools.combinations(range(len(vs)), size):
             b = _orth(np.column_stack([vs[i] for i in subset]))
             spans.append(b)
-    spans = _dedup(spans)
-    fam = list(spans)
-    fam.extend(_perp(b) for b in spans)
-    return fam
+    spans = _Family(spans).bases
+    return spans + [_null(b.T) for b in spans]
 
 
 def _lattice_family(datum: BLDatum, budget: int) -> tuple:
     """Closure of the kernels under pairwise sum and intersection, capped.
 
+    A pass combines the pairs of the family as it stood at its start that no
+    earlier pass combined (a pair combined again gives only members already
+    present), skipping a pair with a 0-dimensional side, and appends the new
+    members in the order found.  The closure ends after a pass that adds none.
+
     Returns (family, certified): certified is False when the closure had not
     stabilized before the budget was exhausted.
     """
-    fam = _dedup([_null(L) for L in datum.maps])
-    while True:
-        added = False
-        for a, b in itertools.combinations(list(fam), 2):
-            for cand in (_span_sum(a, b), _span_intersect(a, b)):
-                if 0 < cand.shape[1] and not any(_same_subspace(cand, c) for c in fam):
-                    fam.append(cand)
-                    added = True
-                    if len(fam) >= budget:
-                        return fam, False
-        if not added:
-            return fam, True
+    fam = _Family([_null(L) for L in datum.maps])
+    done = 0
+    while len(fam.bases) > done:
+        size = len(fam.bases)
+        for i in range(size):
+            for j in range(max(i + 1, done), size):
+                a, b = fam.bases[i], fam.bases[j]
+                if not (a.shape[1] and b.shape[1]):
+                    continue
+                for cand in _sum_and_intersection(a, b):
+                    if cand.shape[1] and fam.add(cand) and len(fam.bases) >= budget:
+                        return fam.bases, False
+        done = size
+    return fam.bases, True
 
 
 def _randomized_family(datum: BLDatum, budget: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
-    fam = []
-    n = datum.n
-    count = 0
-    while count < budget:
+    fam, n = [], datum.n
+    while len(fam) < budget:
         k = int(rng.integers(1, n)) if n > 1 else 1
         b = _orth(rng.standard_normal((n, k)))
         if b.shape[1] == k:
             fam.append(b)
-            count += 1
     return fam
 
 
@@ -306,10 +298,13 @@ def finiteness_check(
                       `budget` subspaces; exact when the closure stabilizes.
       randomized      `budget` random subspaces; can only refute, never certify.
 
-    The kernels of the maps and their common intersection are checked in every
-    mode.
+    The kernels of the maps and their common kernel are checked in every mode.
+    The family is checked in order, less repeats (`_Family`), and the witness
+    is its first violating subspace.  A budget below 1 raises DatumError.
     """
     bad = validate_datum(datum)
+    if budget < 1:
+        bad.append(f"budget must be at least 1, got {budget}")
     if bad:
         raise DatumError("; ".join(bad))
     scaling_ok, residual = scaling_condition(datum)
@@ -328,24 +323,13 @@ def finiteness_check(
     else:
         raise DatumError(f"unknown finiteness mode: {mode!r}")
 
-    fam = _dedup(fam)
-    subspace_ok = True
-    witness = None
-    slack = math.inf
-    checked = 0
-    for basis in fam:
-        k = basis.shape[1]
-        if k == 0 or k >= datum.n:
-            continue
-        checked += 1
-        s = criterion_slack(datum, basis)
-        if s < -1e-9:
-            subspace_ok = False
-            if witness is None:
-                witness = basis
-        slack = min(slack, s)
+    proper = [b for b in _Family(fam).bases if 0 < b.shape[1] < datum.n]
+    slacks = [criterion_slack(datum, b) for b in proper]
+    violating = [b for b, s in zip(proper, slacks) if s < -1e-9]
+    subspace_ok = not violating
+    slack = min(slacks, default=math.inf)
     # treat a tiny negative slack from rank rounding as zero
-    if math.isfinite(slack) and abs(slack) < 1e-9:
+    if abs(slack) < 1e-9:
         slack = 0.0
 
     simple = (
@@ -359,12 +343,12 @@ def finiteness_check(
         scaling_ok=scaling_ok,
         scaling_residual=residual,
         subspace_ok=subspace_ok,
-        violating_subspace=witness,
+        violating_subspace=violating[0] if violating else None,
         simple=simple,
         checked_family=tag,
         slack=slack,
         certified=certified,
-        subspaces_checked=checked,
+        subspaces_checked=len(proper),
     )
 
 
@@ -387,29 +371,40 @@ def datum_to_json(datum: BLDatum) -> dict:
     }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def datum_from_json(obj: dict) -> BLDatum:
+    """The datum of a JSON object; DatumError for a missing or wrongly typed field."""
     try:
-        n = int(obj["n"])
-        maps = obj["maps"]
-        raw = obj["exponents"]
+        n, maps, raw = obj["n"], obj["maps"], obj["exponents"]
     except (KeyError, TypeError) as exc:
         raise DatumError(f"datum object missing field: {exc}") from exc
+    if not _is_int(n):
+        raise DatumError(f"n must be an integer, got {n!r}")
+    if not isinstance(raw, list):
+        raise DatumError(f"exponents must be a list, got {raw!r}")
+    try:
+        maps = [np.asarray(L, dtype=float) for L in maps]
+    except (TypeError, ValueError) as exc:
+        raise DatumError(f"maps must be a list of numeric matrices: {exc}") from exc
     exps = []
     exact: Optional[list] = []
     for i, entry in enumerate(raw):
         if isinstance(entry, dict):
-            try:
-                q = Fraction(int(entry["num"]), int(entry["den"]))
-            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-                raise DatumError(
-                    f"exponent {i} is not a fraction num/den: {entry!r}"
-                ) from exc
+            num, den = entry.get("num"), entry.get("den")
+            if not (_is_int(num) and _is_int(den) and den != 0):
+                raise DatumError(f"exponent {i} is not a fraction num/den: {entry!r}")
+            q = Fraction(num, den)
             exps.append(float(q))
             if exact is not None:
                 exact.append(q)
-        else:
+        elif isinstance(entry, (int, float)) and not isinstance(entry, bool):
             exps.append(float(entry))
             exact = None
+        else:
+            raise DatumError(f"exponent {i} is not a number or a fraction num/den: {entry!r}")
     datum = BLDatum(n=n, maps=maps, exponents=exps, exact_exponents=exact)
     bad = validate_datum(datum)
     if bad:

@@ -1,4 +1,4 @@
-"""One traced op of each sampling workload of the benchmark harness.
+"""One traced op of each workload of the benchmark harness that runs in-process.
 
 The harness in `bench/` observes the library from outside: its tracer reads
 arguments and results of the functions it wraps (for example the `.values`
@@ -47,3 +47,16 @@ def test_traced_op_passes_its_check(harness, tmp_path, name, counter):
         # every constancy level is certified in closed form: no pair is sampled
         assert metrics["nonlinear.is_kappa_constant.samples"]["value"] == 0
         assert {c["status"] for c in out.certifications} == {"certified"}
+
+
+@pytest.mark.parametrize("i, kind", [(0, "young"), (4, "lattice4"), (1, "lattice6")])
+def test_traced_solve_certify_op_passes_its_check(harness, tmp_path, i, kind):
+    workloads, tracer = harness
+    wl = workloads.WORKLOADS["solve-certify"](1, tmp_path)
+    op_args = wl.prepare(i)
+    assert op_args[0] == kind
+    tr = tracer.Tracer()
+    out = wl.run_traced(op_args, tr, 0)
+    assert wl.check(out) is None
+    assert wl.canonical(out) == wl.canonical(wl.run(op_args))
+    assert tr.summary(1, [], [])["datum.subspaces_checked"]["value"] > 0

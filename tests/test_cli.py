@@ -419,6 +419,30 @@ def test_bad_exponent_fraction_exits_two(tmp_path, capsys, bad):
     assert "exponent 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("maps", 5), ("exponents", 0.5), ("exponents", [None, 1]), ("n", 2.5)],
+)
+def test_wrongly_typed_datum_field_exits_two(tmp_path, capsys, field, value):
+    obj = {"n": 2, "maps": [m.tolist() for m in young_maps()], "exponents": [2 / 3] * 3}
+    obj[field] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(obj))
+    assert run(["constant", "--input", str(path), "--output", str(tmp_path / "c.json")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["rank-one-exact", "exact-lattice", "randomized"])
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_finiteness_budget_below_one_exits_two(young_file, tmp_path, capsys, mode, budget):
+    out = tmp_path / "f.json"
+    argv = ["finiteness", "--input", young_file, "--mode", mode, "--budget", budget, "--output", str(out)]
+    assert run(argv) == 2
+    assert "budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_group_exits_two(tmp_path, capsys):
     assert (
         run(

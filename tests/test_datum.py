@@ -14,9 +14,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from blscales.datum import (
     BLDatum,
+    _lattice_family,
     DatumError,
     criterion_slack,
     datum_from_json,
@@ -248,6 +250,13 @@ def test_load_datum_wrong_shape(tmp_path):
         load_datum(str(path))
 
 
+def test_datum_from_json_rejects_a_bool_n():
+    obj = {"n": 1, "maps": [[[1.0]]], "exponents": [1.0]}
+    assert datum_from_json(obj).n == 1
+    with pytest.raises(DatumError, match="n must be an integer"):
+        datum_from_json({**obj, "n": True})
+
+
 def test_randomized_mode_finds_planted_violation():
     # two copies of the same line with combined exponent above 1
     vecs = [
@@ -267,3 +276,88 @@ def test_exact_lattice_budget_marks_uncertified():
     rep = finiteness_check(d, mode="exact-lattice", budget=2)
     assert not rep.certified
     assert "budget-exhausted" in rep.checked_family
+
+
+def test_lattice_verdicts_match_brute_force_where_certified():
+    # the rank-one oracle also decides data that exact-lattice certifies
+    rng = np.random.default_rng(2024)
+    checked = certified = infinite = 0
+    while checked < 60:
+        out = random_rank_one(rng, int(rng.integers(2, 5)), degenerate=True)
+        if out is None:
+            continue
+        datum, vecs, p = out
+        checked += 1
+        rep = finiteness_check(datum, mode="exact-lattice", budget=32)
+        if not rep.certified:
+            continue
+        certified += 1
+        oracle_finite = brute_force_rank_one(vecs, p, datum.n) >= -1e-9
+        assert rep.subspace_ok == oracle_finite, (vecs, p)
+        infinite += not oracle_finite
+    # both verdicts must actually be exercised
+    assert certified >= 40 and infinite >= 10
+
+
+def test_generic_six_dimensional_lattice_exhausts_its_budget():
+    rng = np.random.default_rng(11)
+    maps = [np.linalg.qr(rng.standard_normal((6, 2)))[0].T for _ in range(4)]
+    rep = finiteness_check(BLDatum(n=6, maps=maps, exponents=[0.75] * 4), mode="exact-lattice", budget=192)
+    assert rep.checked_family == "exact-lattice:budget-exhausted"
+    assert not rep.certified
+    assert rep.subspaces_checked == 191
+    assert rep.slack == 0.5
+    assert rep.scaling_ok and rep.subspace_ok and rep.simple
+
+
+def _qr_span(cols: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span, by column-pivoted QR."""
+    if cols.shape[1] == 0:
+        return cols
+    q, r, _ = scipy.linalg.qr(cols, pivoting=True)
+    d = np.abs(np.diag(r))
+    return q[:, : int(np.sum(d > 1e-10 * d[0]))] if d[0] > 0 else q[:, :0]
+
+
+def _qr_perp(basis: np.ndarray) -> np.ndarray:
+    n, k = basis.shape
+    return np.linalg.qr(basis, mode="complete")[0][:, k:] if k else np.eye(n)
+
+
+def _projector_distance(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.linalg.norm(a @ a.T - b @ b.T))
+
+
+def _closure_data():
+    rng = np.random.default_rng(3)
+    e = np.eye(4)
+    yield BLDatum(n=2, maps=young_maps(), exponents=[2 / 3] * 3)
+    # coordinate subspaces of R^4: the lattice is Boolean
+    yield BLDatum(n=4, maps=[e[[0, 1]], e[[1, 2]], e[[2, 3]], e[[0, 3]]], exponents=[0.5] * 4)
+    # three generic planes in R^4, a degenerate pair of them, and rank-one data
+    planes = [np.linalg.qr(rng.standard_normal((4, 2)))[0].T for _ in range(3)]
+    yield BLDatum(n=4, maps=planes, exponents=[2 / 3] * 3)
+    yield BLDatum(n=4, maps=planes[:2] + [planes[0] + 0.5 * planes[1]], exponents=[2 / 3] * 3)
+    while True:
+        out = random_rank_one(rng, int(rng.integers(3, 5)), degenerate=True)
+        if out is not None:
+            yield out[0]
+
+
+def test_certified_lattice_is_closed_under_sum_and_intersection():
+    # the oracle forms sums by QR and intersections as perps of sums of perps
+    closed = 0
+    for datum in itertools.islice(_closure_data(), 40):
+        fam, certified = _lattice_family(datum, 64)
+        if not certified:
+            continue
+        closed += 1
+        for a, b in itertools.combinations(fam, 2):
+            if not (a.shape[1] and b.shape[1]):
+                continue
+            total = _qr_span(np.hstack([a, b]))
+            meet = _qr_perp(_qr_span(np.hstack([_qr_perp(a), _qr_perp(b)])))
+            for c in (total, meet):
+                if c.shape[1]:
+                    assert min(_projector_distance(c, f) for f in fam) <= 1e-8
+    assert closed >= 15
