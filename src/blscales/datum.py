@@ -159,13 +159,18 @@ def kernel_basis_condition(datum: BLDatum) -> bool:
 
 def criterion_slack(datum: BLDatum, basis: np.ndarray) -> float:
     """sum_j p_j dim(L_j V) - dim V for the subspace V spanned by basis columns."""
+    return _slack(datum, basis, [float(np.linalg.norm(L, 2)) for L in datum.maps])
+
+
+def _slack(datum: BLDatum, basis: np.ndarray, map_norms: list) -> float:
+    """`criterion_slack` given the maps' spectral norms, which set each rank's scale."""
     k = basis.shape[1]
     if k == 0:
         return 0.0
     basis_scale = float(np.linalg.norm(basis, 2))
     total = math.fsum(
-        p * _rank(L @ basis, float(np.linalg.norm(L, 2)) * basis_scale)
-        for p, L in zip(datum.exponents, datum.maps)
+        p * _rank(L @ basis, norm * basis_scale)
+        for p, L, norm in zip(datum.exponents, datum.maps, map_norms)
     )
     return total - k
 
@@ -273,34 +278,24 @@ def _lattice_family(datum: BLDatum, budget: int) -> tuple:
     return fam.bases, True
 
 
-def _randomized_family(datum: BLDatum, budget: int, seed: int) -> list:
-    rng = np.random.default_rng(seed)
-    fam, n = [], datum.n
-    while len(fam) < budget:
-        k = int(rng.integers(1, n)) if n > 1 else 1
-        b = _orth(rng.standard_normal((n, k)))
-        if b.shape[1] == k:
-            fam.append(b)
-    return fam
-
-
 def finiteness_check(
     datum: BLDatum,
     mode: str = "rank-one-exact",
     budget: int = 512,
-    seed: int = 0,
 ) -> FinitenessReport:
-    """Certify (or probe) finiteness of the constant for a datum.
+    """Certify finiteness of the constant for a datum.
 
     Modes:
       rank-one-exact  all n_j = 1; decides finiteness exactly.
       exact-lattice   closure of the kernels under sum/intersection, up to
                       `budget` subspaces; exact when the closure stabilizes.
-      randomized      `budget` random subspaces; can only refute, never certify.
 
-    The kernels of the maps and their common kernel are checked in every mode.
+    The kernels of the maps and their common kernel are checked in both modes.
     The family is checked in order, less repeats (`_Family`), and the witness
-    is its first violating subspace.  A budget below 1 raises DatumError.
+    is its first violating subspace.  An unknown mode or a budget below 1
+    raises DatumError.  Random subspaces would add nothing: a generic V of
+    dimension k has dim L_j V = min(k, n_j) >= k n_j / n, so under the
+    scaling condition it never violates.
     """
     bad = validate_datum(datum)
     if budget < 1:
@@ -317,14 +312,12 @@ def finiteness_check(
     elif mode == "exact-lattice":
         lat, certified = _lattice_family(datum, budget)
         fam = _base_family(datum) + lat
-    elif mode == "randomized":
-        fam = _base_family(datum) + _randomized_family(datum, budget, seed)
-        certified = False
     else:
         raise DatumError(f"unknown finiteness mode: {mode!r}")
 
     proper = [b for b in _Family(fam).bases if 0 < b.shape[1] < datum.n]
-    slacks = [criterion_slack(datum, b) for b in proper]
+    map_norms = [float(np.linalg.norm(L, 2)) for L in datum.maps]
+    slacks = [_slack(datum, b, map_norms) for b in proper]
     violating = [b for b, s in zip(proper, slacks) if s < -1e-9]
     subspace_ok = not violating
     slack = min(slacks, default=math.inf)
@@ -338,7 +331,7 @@ def finiteness_check(
         and slack > 0.0
         and all(nj < datum.n for nj in datum.codims)
     )
-    tag = mode if certified or mode == "randomized" else mode + ":budget-exhausted"
+    tag = mode if certified else mode + ":budget-exhausted"
     return FinitenessReport(
         scaling_ok=scaling_ok,
         scaling_residual=residual,

@@ -142,6 +142,21 @@ def test_finiteness_infinite_verdict_with_witness(infinite_file, tmp_path):
     assert doc["violating_subspace"] is not None
 
 
+@pytest.mark.parametrize("datum_file", ["young_file", "infinite_file"])
+def test_finiteness_randomized_is_an_alias_of_exact_lattice(request, tmp_path, datum_file):
+    docs = {}
+    for mode in ("randomized", "exact-lattice"):
+        out = tmp_path / f"{mode}.json"
+        argv = ["finiteness", "--input", request.getfixturevalue(datum_file), "--mode", mode]
+        assert run(argv + ["--output", str(out)]) == 0
+        docs[mode] = json.loads(out.read_text())
+    assert docs["randomized"].pop("mode") == "randomized"
+    assert docs["exact-lattice"].pop("mode") == "exact-lattice"
+    assert docs["randomized"] == docs["exact-lattice"]
+    assert docs["randomized"]["checked_family"] == "exact-lattice"
+    assert "seed" not in docs["randomized"]
+
+
 # ---------------------------------------------------------------------------
 # functional and ball check
 

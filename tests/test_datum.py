@@ -15,6 +15,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blscales.datum import (
     BLDatum,
@@ -131,7 +133,7 @@ def test_common_kernel_always_infinite():
         if np.any(p >= 1.0):
             continue
         d = BLDatum(n=n, maps=[v.reshape(1, n) for v in vecs], exponents=list(p))
-        for mode in ("rank-one-exact", "exact-lattice", "randomized"):
+        for mode in ("rank-one-exact", "exact-lattice"):
             rep = finiteness_check(d, mode=mode)
             assert not rep.subspace_ok
             assert rep.violating_subspace is not None
@@ -257,16 +259,18 @@ def test_datum_from_json_rejects_a_bool_n():
         datum_from_json({**obj, "n": True})
 
 
-def test_randomized_mode_finds_planted_violation():
-    # two copies of the same line with combined exponent above 1
+def test_exact_modes_find_planted_violation():
+    # two copies of the same line with combined exponent above 1; the
+    # violating subspace is their common kernel
     vecs = [
         np.array([1.0, 0.0]),
         np.array([1.0, 0.0]),
         np.array([0.0, 1.0]),
     ]
     d = BLDatum(n=2, maps=[v.reshape(1, 2) for v in vecs], exponents=[0.7, 0.7, 0.6])
-    rep = finiteness_check(d, mode="randomized", seed=0)
-    assert not rep.subspace_ok
+    for mode in ("rank-one-exact", "exact-lattice"):
+        rep = finiteness_check(d, mode=mode)
+        assert not rep.subspace_ok
 
 
 def test_exact_lattice_budget_marks_uncertified():
@@ -308,6 +312,49 @@ def test_generic_six_dimensional_lattice_exhausts_its_budget():
     assert rep.subspaces_checked == 191
     assert rep.slack == 0.5
     assert rep.scaling_ok and rep.subspace_ok and rep.simple
+
+
+def test_finiteness_check_takes_each_map_norm_once(monkeypatch):
+    rng = np.random.default_rng(11)
+    maps = [np.linalg.qr(rng.standard_normal((6, 2)))[0].T for _ in range(4)]
+    datum = BLDatum(n=6, maps=maps, exponents=[0.75] * 4)
+    norm = np.linalg.norm
+    calls = [0] * datum.m
+
+    def counting_norm(x, ord=None, **kwargs):
+        for j, L in enumerate(datum.maps):
+            calls[j] += x is L and ord == 2
+        return norm(x, ord, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    rep = finiteness_check(datum, mode="exact-lattice", budget=192)
+    assert rep.subspaces_checked == 191
+    assert calls == [1] * datum.m
+
+
+def test_unknown_or_retired_finiteness_mode_raises(young_datum):
+    for mode in ("randomized", "lattice"):
+        with pytest.raises(DatumError, match="unknown finiteness mode"):
+            finiteness_check(young_datum, mode=mode)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_generic_subspaces_never_violate_under_scaling(n, seed):
+    # why finiteness samples no random subspaces: a generic V of dimension k
+    # has dim L_j V = min(k, n_j) >= k n_j / n, so sum_j p_j dim(L_j V) >= k
+    rng = np.random.default_rng(seed)
+    while True:
+        dims = rng.integers(1, n + 1, size=int(rng.integers(2, 6)))
+        w = rng.uniform(0.1, 1.0, dims.size)
+        p = n * w / (w @ dims)
+        if p.max() <= 1.0:
+            break
+    datum = BLDatum(n=n, maps=[rng.standard_normal((d, n)) for d in dims], exponents=list(p))
+    assert scaling_condition(datum)[0] and not validate_datum(datum)
+    for k in range(1, n):
+        basis = np.linalg.qr(rng.standard_normal((n, k)))[0]
+        assert criterion_slack(datum, basis) >= -1e-9
 
 
 def _qr_span(cols: np.ndarray) -> np.ndarray:

@@ -238,6 +238,31 @@ def test_auto_domain_edge_cases(monkeypatch):
     assert isinstance(_assert_same_domain(BLDatum(n=6, maps=maps, exponents=[0.5] * 4), boxes), Box)
 
 
+def test_auto_domain_linear_program_fallback(monkeypatch, young_datum):
+    from blscales import functional
+
+    unit = Box([0.0], [1.0])
+    rng = np.random.default_rng(4)
+    generic = BLDatum(n=4, maps=[rng.standard_normal((2, 4)) for _ in range(3)], exponents=[2 / 3] * 3)
+    cases = [
+        (young_datum, [Box([-1.0], [2.0]), Box([-0.5], [0.7]), Box([0.1], [3.0])]),
+        (generic, [Box([0.0, 0.0], [1.0, 1.0])] * 3),
+    ]
+    by_vertices = [auto_domain(d, boxes) for d, boxes in cases]
+    # with no vertex candidates allowed, every domain comes from linear programs
+    monkeypatch.setattr(functional, "VERTEX_CANDIDATES", 0)
+    for (d, boxes), ref in zip(cases, by_vertices):
+        dom = auto_domain(d, boxes)
+        np.testing.assert_allclose(dom.lo, ref.lo, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(dom.hi, ref.hi, rtol=0.0, atol=1e-12)
+    # empty: x - y in [5, 6] misses the unit square; flat: x - y = 1 meets it at a point
+    assert auto_domain(young_datum, [unit, Box([5.0], [6.0]), unit]) is None
+    assert auto_domain(young_datum, [unit, Box([1.0], [1.0]), unit]) is None
+    shared = BLDatum(n=2, maps=[[[1.0, 0.0]], [[2.0, 0.0]]], exponents=[1.0, 1.0])
+    with pytest.raises(UnboundedDomainError):
+        auto_domain(shared, [unit, unit])
+
+
 def test_unbounded_domain_raises():
     # both maps kill e2, so the polytope is a full strip
     datum = BLDatum(
