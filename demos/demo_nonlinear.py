@@ -38,8 +38,7 @@ rep = base_case_check(nd, lp, f, QuadratureSpec(resolution=128),
                       alpha=1.5, beta_prime=0.4)
 print("base case, perturbed quadratic (gamma = 0.5)")
 print(f"  threshold delta^(a+b') = {rep.threshold:.3e}  mu = {lp.mu:.3e}")
-print(f"  linearization deviation {rep.linearization_dev:.3e}"
-      f"  (bound {rep.dev_bound:.3e})")
+print(f"  linearization deviation <= c2 r^2 = {rep.dev_bound:.3e}")
 print(f"  ratio {rep.ratio:.6f}  <=  bound {rep.bound:.6f}  -> {rep.verdict}")
 print()
 

@@ -276,7 +276,13 @@ def cmd_schedule(args) -> int:
 
 def _add_common(p, quad=False, solver=False):
     p.add_argument("--output", default=None, help="output path (default stdout)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="seed of the monte-carlo streams; constant, extremiser and finiteness "
+        "sample nothing and ignore it, and schedule only echoes it in its header",
+    )
     if quad:
         p.add_argument(
             "--method", choices=["tensor-grid", "monte-carlo"], default="tensor-grid"

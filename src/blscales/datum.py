@@ -122,8 +122,9 @@ def validate_datum(datum: BLDatum) -> list:
         if not np.all(np.isfinite(L)):
             violations.append(f"map {j} has non-finite entries")
             continue
-        if _rank(L) < nj:
-            violations.append(f"map {j} is not surjective (rank {_rank(L)} < {nj})")
+        rank = _rank(L)
+        if rank < nj:
+            violations.append(f"map {j} is not surjective (rank {rank} < {nj})")
     for j, p in enumerate(datum.exponents):
         if not (0.0 <= p <= 1.0) or not math.isfinite(p):
             violations.append(f"exponent {j} = {p} outside [0, 1]")

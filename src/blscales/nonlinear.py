@@ -61,17 +61,17 @@ class Submersion:
     `map` is vectorized over rows of an (N, n) array; `jacobian` takes a single
     point.  `c2_bound` bounds the Taylor remainder in the euclidean norm:
     |B(y) - B(x) - dB(x)(y - x)| <= c2_bound |y - x|^2 on the working region.
-    The closed-form kappa certificate (`is_kappa_constant`) trusts it, so a
-    certificate is only as good as c2_bound: the registry's maps have exact
-    ones, except `young-affine-2d`, whose c2_bound is `_estimate_c2`'s sampled
-    maximum times 1.5.
+    The closed-form kappa certificate (`is_kappa_constant`) and the base case's
+    linearization deviation, bounded a priori by c2 r^2, trust it, so either is
+    only as good as c2_bound: the registry's maps have exact ones (a step-2
+    group's is derived from its bracket), except `young-affine-2d`, whose
+    c2_bound is `_estimate_c2`'s sampled maximum times 1.5.
     """
 
     map: Callable
     jacobian: Callable
     base_point: np.ndarray
     c2_bound: float
-    name: str = ""
 
     def __post_init__(self):
         self.base_point = np.asarray(self.base_point, dtype=float).ravel()
@@ -500,9 +500,10 @@ def base_case_check(
     regime delta^(alpha+beta') <= mu.
 
     Inside U_delta(u) every B_j stays within its linearization by
-    c2 (delta log(1/delta))^2; the check requires that deviation (measured on
-    samples and bounded a priori) to be below mu, since that is what lets a
-    kappa-constant input trade B_j for the affine map at cost kappa^{p_j}.
+    c2 (delta log(1/delta))^2; the check requires that deviation (bounded a
+    priori by c2 r^2, and reported as `linearization_dev`) to be below mu,
+    since that is what lets a kappa-constant input trade B_j for the affine
+    map at cost kappa^{p_j}.
     """
     threshold = lp.delta ** (alpha + beta_prime)
     if lp.regime(alpha, beta_prime) != "base":
@@ -512,16 +513,9 @@ def base_case_check(
         )
     r = lp.radius
     dev_bound = max(s.c2_bound for s in nd.submersions) * r * r
-    lins = [nd.affine_map(lp.u, j) for j in range(nd.m)]
-    dev = 0.0
-    for index, size in mc.iter_chunks(4096):
-        gen = mc.chunk_generator(q.seed, 97, index)
-        pts = mc.uniform_ball(gen, size, lp.u, r)
-        for s, lin in zip(nd.submersions, lins):
-            dev = max(dev, float(np.abs(s(pts) - lin(pts)).max()))
-    if max(dev, dev_bound) > lp.mu:
+    if dev_bound > lp.mu:
         raise LinearizationError(
-            f"linearization deviation {max(dev, dev_bound):.3e} exceeds mu = "
+            f"linearization deviation {dev_bound:.3e} exceeds mu = "
             f"{lp.mu:.3e}; shrink the neighbourhood or increase mu"
         )
 
@@ -538,7 +532,7 @@ def base_case_check(
         bound=bound,
         slack=slack,
         verdict=mc.verdict(slack, err),
-        linearization_dev=dev,
+        linearization_dev=dev_bound,
         dev_bound=dev_bound,
         threshold=threshold,
     )
@@ -805,63 +799,65 @@ def _linear_submersions(datum: BLDatum) -> list:
                 jacobian=(lambda Lc: lambda x: Lc)(Lc),
                 base_point=np.zeros(L.shape[1]),
                 c2_bound=0.0,
-                name="linear",
             )
         )
     return subs
 
 
-def _young_euclidean(d: int) -> list:
+def _young_group(d: int, quotient: Callable, jacobian: Callable, c2: float) -> list:
+    """The Young datum (y, y^{-1} x, x) of a d-dimensional Lie group in
+    exponential coordinates w = (x, y) on R^d x R^d: the two projections, and
+    the quotient map with its jacobian and c2 bound."""
     if d < 1:
         raise ValueError("dimension must be positive")
-    Z = np.zeros((d, d))
-    I = np.eye(d)
-    maps = [np.hstack([Z, I]), np.hstack([I, -I]), np.hstack([I, Z])]
-    datum = BLDatum(n=2 * d, maps=maps, exponents=[2.0 / 3.0] * 3)
-    return _linear_submersions(datum)
+    left = np.hstack([np.zeros((d, d)), np.eye(d)])
+    right = np.hstack([np.eye(d), np.zeros((d, d))])
+    zero = np.zeros(2 * d)
+    return [
+        Submersion(lambda pts: pts[:, d:], lambda w: left, zero, 0.0),
+        Submersion(quotient, jacobian, zero, c2),
+        Submersion(lambda pts: pts[:, :d], lambda w: right, zero, 0.0),
+    ]
 
 
-def _heisenberg_submersions() -> list:
-    """Convolution maps of the 3-dimensional step-2 nilpotent group in
-    exponential coordinates: w = (x, y), products via
-    x . y = x + y + [x, y]/2 with [x, y] = (0, 0, x1 y2 - x2 y1)."""
+def _step2_group(C: np.ndarray) -> list:
+    """The Young datum of the step-2 nilpotent group with bracket
+    [a, b]_k = a^T C_k b.  BCH stops at step 2, so y^{-1} x = x - y - [y, x]/2
+    exactly and its jacobian is linear in w.  The Taylor remainder at step h
+    is -[h_y, h_x]/2, and |[a, b]| <= K |a| |b| with K = sqrt(sum_k |C_k|_2^2),
+    so c2 = K/4 since |h_x| |h_y| <= |h|^2 / 2."""
+    C = np.asarray(C, dtype=float)
+    if not np.array_equal(C, -np.swapaxes(C, 1, 2)):
+        raise ValueError("a bracket tensor must be antisymmetric")
+    d = C.shape[0]
+    # the bracket through C's nonzero entries above the diagonal, each
+    # c (a_i b_j - a_j b_i): a dense einsum costs ten times more
+    pairs = [(k, i, j, float(C[k, i, j])) for k, i, j in zip(*np.nonzero(np.triu(C, 1)))]
 
-    def b1(pts):
-        return pts[:, 3:6]
-
-    def j1(w):
-        return np.hstack([np.zeros((3, 3)), np.eye(3)])
-
-    def b2(pts):
-        x = pts[:, 0:3]
-        y = pts[:, 3:6]
+    def quotient(pts):
+        x, y = pts[:, :d], pts[:, d:]
         out = x - y
-        out[:, 2] -= 0.5 * (y[:, 0] * x[:, 1] - y[:, 1] * x[:, 0])
+        for k, i, j, c in pairs:
+            out[:, k] -= 0.5 * c * (y[:, i] * x[:, j] - y[:, j] * x[:, i])
         return out
 
-    def j2(w):
-        x = w[0:3]
-        y = w[3:6]
-        J = np.hstack([np.eye(3), -np.eye(3)])
-        # third row picks up the bracket derivative
-        J[2, 0] = 0.5 * y[1]
-        J[2, 1] = -0.5 * y[0]
-        J[2, 3] = -0.5 * x[1]
-        J[2, 4] = 0.5 * x[0]
+    def jacobian(w):
+        x, y = w[:d], w[d:]
+        J = np.hstack([np.eye(d), -np.eye(d)])
+        for k, i, j, c in pairs:
+            J[k, i] += 0.5 * c * y[j]
+            J[k, j] -= 0.5 * c * y[i]
+            J[k, d + i] -= 0.5 * c * x[j]
+            J[k, d + j] += 0.5 * c * x[i]
         return J
 
-    def b3(pts):
-        return pts[:, 0:3]
+    K = math.sqrt(sum(np.linalg.norm(Ck, 2) ** 2 for Ck in C))
+    return _young_group(d, quotient, jacobian, K / 4.0)
 
-    def j3(w):
-        return np.hstack([np.eye(3), np.zeros((3, 3))])
 
-    zero = np.zeros(6)
-    return [
-        Submersion(map=b1, jacobian=j1, base_point=zero, c2_bound=0.0, name="left"),
-        Submersion(map=b2, jacobian=j2, base_point=zero, c2_bound=0.25, name="quotient"),
-        Submersion(map=b3, jacobian=j3, base_point=zero, c2_bound=0.0, name="right"),
-    ]
+# [e1, e2] = e3: the 3-dimensional Heisenberg algebra
+_HEISENBERG_BRACKET = np.zeros((3, 3, 3))
+_HEISENBERG_BRACKET[2, 0, 1], _HEISENBERG_BRACKET[2, 1, 0] = 1.0, -1.0
 
 
 def _expm1_ratio(a: np.ndarray) -> np.ndarray:
@@ -886,16 +882,11 @@ def _expm1_ratio_prime(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _affine_group_submersions() -> list:
-    """Convolution maps of the two-dimensional ax+b group in exponential
+def _affine_group() -> list:
+    """The Young datum of the two-dimensional ax+b group in exponential
     coordinates w = (x1, x2, y1, y2): the group element for (a, b) is
-    s -> e^a s + b E(a), E(a) = (e^a - 1)/a, and B2(x, y) = y^{-1} x."""
-
-    def b1(pts):
-        return pts[:, 2:4]
-
-    def j1(w):
-        return np.hstack([np.zeros((2, 2)), np.eye(2)])
+    s -> e^a s + b E(a), E(a) = (e^a - 1)/a.  The quotient's c2 is
+    `_estimate_c2`'s sampled figure, not a bound."""
 
     def b2(pts):
         x1 = pts[:, 0]
@@ -923,19 +914,7 @@ def _affine_group_submersions() -> list:
         J[1, 3] = -ey * E(y1) / D
         return J
 
-    def b3(pts):
-        return pts[:, 0:2]
-
-    def j3(w):
-        return np.hstack([np.eye(2), np.zeros((2, 2))])
-
-    zero = np.zeros(4)
-    c2 = _estimate_c2(b2, j2, zero, radius=0.6)
-    return [
-        Submersion(map=b1, jacobian=j1, base_point=zero, c2_bound=0.0, name="left"),
-        Submersion(map=b2, jacobian=j2, base_point=zero, c2_bound=c2, name="quotient"),
-        Submersion(map=b3, jacobian=j3, base_point=zero, c2_bound=0.0, name="right"),
-    ]
+    return _young_group(2, b2, j2, _estimate_c2(b2, j2, np.zeros(4), radius=0.6))
 
 
 def _estimate_c2(map_fn, jac_fn, base: np.ndarray, radius: float) -> float:
@@ -982,18 +961,18 @@ def _perturbed_quadratic(gamma: float) -> list:
 
     zero = np.zeros(2)
     return [
-        Submersion(map=b1, jacobian=j1, base_point=zero, c2_bound=gamma, name="q1"),
-        Submersion(map=b2, jacobian=j2, base_point=zero, c2_bound=gamma, name="q2"),
-        Submersion(map=b3, jacobian=j3, base_point=zero, c2_bound=gamma, name="q3"),
+        Submersion(map=b1, jacobian=j1, base_point=zero, c2_bound=gamma),
+        Submersion(map=b2, jacobian=j2, base_point=zero, c2_bound=gamma),
+        Submersion(map=b3, jacobian=j3, base_point=zero, c2_bound=gamma),
     ]
 
 
 # Young-type tags, by the pattern that REGISTRY_TAGS shows: the builder of the
 # submersions from the tag's parameter, the text in place of <...>
 _YOUNG_TYPE = {
-    "young-euclidean-<d>": lambda d: _young_euclidean(int(d)),
-    "young-heisenberg": lambda _: _heisenberg_submersions(),
-    "young-affine-2d": lambda _: _affine_group_submersions(),
+    "young-euclidean-<d>": lambda d: _step2_group(np.zeros((int(d),) * 3)),
+    "young-heisenberg": lambda _: _step2_group(_HEISENBERG_BRACKET),
+    "young-affine-2d": lambda _: _affine_group(),
     "perturbed-quadratic:<gamma>": lambda gamma: _perturbed_quadratic(float(gamma)),
 }
 

@@ -124,6 +124,15 @@ def test_finiteness_young(young_file, tmp_path):
     assert doc["mode"] == "rank-one-exact"
 
 
+def test_finiteness_ignores_seed(young_file, tmp_path):
+    # every subcommand accepts --seed; finiteness samples nothing
+    plain, seeded = tmp_path / "f.json", tmp_path / "f7.json"
+    assert run(["finiteness", "--input", young_file, "--output", str(plain)]) == 0
+    argv = ["finiteness", "--input", young_file, "--seed", "7", "--output", str(seeded)]
+    assert run(argv) == 0
+    assert seeded.read_bytes() == plain.read_bytes()
+
+
 def test_finiteness_infinite_verdict_with_witness(infinite_file, tmp_path):
     # determining "infinite" is a successful run: verdict and witness go in
     # the artifact, the exit status stays 0

@@ -57,11 +57,21 @@ def scaled_extremiser_inputs(nd, delta, tol=1e-10):
 # registry and submersion validation
 
 
-@pytest.mark.parametrize(
-    "tag",
-    ["young-euclidean-1", "young-euclidean-2", "young-heisenberg", "young-affine-2d",
-     "perturbed-quadratic:0.3"],
-)
+def _registry_examples() -> list:
+    """A tag for each registry pattern but `linear`: <d> filled with 1 and 2,
+    <gamma> with 0.3."""
+    tags = []
+    for pattern in nonlinear.REGISTRY_TAGS:
+        if pattern == "linear":
+            continue
+        if "<d>" in pattern:
+            tags += [pattern.replace("<d>", "1"), pattern.replace("<d>", "2")]
+        else:
+            tags.append(pattern.replace("<gamma>", "0.3"))
+    return tags
+
+
+@pytest.mark.parametrize("tag", _registry_examples())
 def test_registry_data_validate(tag):
     nd = registry(tag)
     assert nd.validate() == []
@@ -101,6 +111,55 @@ def test_heisenberg_jacobian_matches_central_differences():
             e[i] = h
             fd = (s(w + e) - s(w - e))[0] / (2.0 * h)
             assert np.allclose(fd, J[:, i], atol=1e-7)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_young_euclidean_is_the_linear_young_datum(d):
+    I, Z = np.eye(d), np.zeros((d, d))
+    maps = [np.hstack([Z, I]), np.hstack([I, -I]), np.hstack([I, Z])]
+    nd = registry(f"young-euclidean-{d}")
+    rng = np.random.default_rng(d)
+    pts = rng.normal(size=(1000, 2 * d)) * np.logspace(-3, 1, 1000)[:, None]
+    for s, L in zip(nd.submersions, maps):
+        assert s.c2_bound == 0.0
+        assert s(pts).tobytes() == (pts @ L.T).tobytes()
+        assert all(s.jacobian(w).tobytes() == L.tobytes() for w in pts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_step2_group_jacobian_and_derived_c2(d, seed):
+    # a random central bracket: the first g coordinates bracket into the last
+    # d - g, which bracket with nothing, so the group has step 2
+    rng = np.random.default_rng(seed)
+    g = int(rng.integers(1, d))
+    C = np.zeros((d, d, d))
+    for k in range(g, d):
+        for a in range(g):
+            for b in range(a + 1, g):
+                if rng.random() < 0.7:
+                    C[k, a, b] = rng.normal()
+                    C[k, b, a] = -C[k, a, b]
+    s = nonlinear._step2_group(C)[1]
+    K = math.sqrt(sum(np.linalg.norm(Ck, 2) ** 2 for Ck in C))
+    assert s.c2_bound == pytest.approx(K / 4.0, rel=1e-12)
+    h = 1e-6
+    for w in rng.uniform(-1.0, 1.0, (3, 2 * d)):
+        J = s.jacobian(w)
+        for i in range(2 * d):
+            e = np.zeros(2 * d)
+            e[i] = h
+            fd = (s(w + e) - s(w - e))[0] / (2.0 * h)
+            assert np.allclose(fd, J[:, i], atol=1e-7)
+    # the Taylor remainder never exceeds (K/4) |step|^2
+    centres = rng.uniform(-1.0, 1.0, (500, 2 * d))
+    steps = rng.normal(size=(500, 2 * d)) * rng.uniform(0.01, 1.0, (500, 1))
+    lin = np.array([s.jacobian(c) @ v for c, v in zip(centres, steps)])
+    rem = np.linalg.norm(s(centres + steps) - s(centres) - lin, axis=1)
+    assert np.all(rem <= K / 4.0 * np.sum(steps**2, axis=1) * (1.0 + 1e-9) + 1e-12)
+    C[-1, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="antisymmetric"):
+        nonlinear._step2_group(C)
 
 
 def test_affine_group_jacobian_matches_central_differences():
@@ -416,6 +475,7 @@ def test_base_case_passes_in_base_regime():
     assert rep.verdict == "pass"
     assert rep.threshold == pytest.approx(0.01**1.9, rel=1e-12)
     assert rep.linearization_dev <= rep.dev_bound <= lp.mu
+    assert rep.linearization_dev == rep.dev_bound
     assert rep.bl_linear == pytest.approx(ROOT3_OVER_2, rel=1e-9)
     assert rep.bound == pytest.approx(1.05**2 * ROOT3_OVER_2, rel=1e-9)
     assert 0.0 < rep.ratio < rep.bound
