@@ -41,6 +41,7 @@ from .scheduler import (
     accumulated_factor,
     final_bound,
     kappa_evolution,
+    running_products,
     schedule,
     validate_params,
 )
@@ -259,6 +260,9 @@ def cmd_schedule(args) -> int:
     deltas, k_star = schedule(params)
     product, log_bound = accumulated_factor(params, k_star)
     kappas = kappa_evolution(params, k_star, args.kappa0)
+    # row k carries the product through step min(k + 1, k*)
+    running = running_products(params, k_star)
+    running = running[1:] + running[-1:]
     lines = [
         f"# seed = {args.seed}",
         f"# k_star = {k_star}",
@@ -267,9 +271,8 @@ def cmd_schedule(args) -> int:
         f"# final_bound = {_fmt(final_bound(params.epsilon, params.sigma))}",
         "k,delta_k,kappa_k,running_product",
     ]
-    for k, d in enumerate(deltas):
-        running = accumulated_factor(params, min(k + 1, k_star))[0]
-        lines.append(f"{k},{_fmt(d)},{_fmt(kappas[min(k, len(kappas) - 1)])},{_fmt(running)}")
+    for k, (d, kappa, prod) in enumerate(zip(deltas, kappas, running)):
+        lines.append(f"{k},{_fmt(d)},{_fmt(kappa)},{_fmt(prod)}")
     _write_text(args.output, "\n".join(lines) + "\n")
     return 0
 

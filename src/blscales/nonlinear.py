@@ -59,13 +59,16 @@ class Submersion:
     """A C^2 map R^n -> R^{n_j} with surjective differential.
 
     `map` is vectorized over rows of an (N, n) array; `jacobian` takes a single
-    point.  `c2_bound` bounds the Taylor remainder in the euclidean norm:
-    |B(y) - B(x) - dB(x)(y - x)| <= c2_bound |y - x|^2 on the working region.
-    The closed-form kappa certificate (`is_kappa_constant`) and the base case's
-    linearization deviation, bounded a priori by c2 r^2, trust it, so either is
-    only as good as c2_bound: the registry's maps have exact ones (a step-2
-    group's is derived from its bracket), except `young-affine-2d`, whose
-    c2_bound is `_estimate_c2`'s sampled maximum times 1.5.
+    point.  `affine(c)` is the linearization at c, the pair (B(c), dB(c)) with
+    the differential as an (n_j, n) array; every linearization in this module
+    goes through it.  `c2_bound` bounds the Taylor remainder in the euclidean
+    norm: |B(y) - B(x) - dB(x)(y - x)| <= c2_bound |y - x|^2 on the working
+    region.  The closed-form kappa certificate (`is_kappa_constant`) and the
+    base case's linearization deviation, bounded a priori by c2 r^2, trust it,
+    so either is only as good as c2_bound: the registry's maps have exact ones
+    (a step-2 group's is derived from its bracket), except `young-affine-2d`,
+    whose c2_bound is `_estimate_c2`'s sampled maximum of the euclidean
+    remainder times 1.5.
     """
 
     map: Callable
@@ -84,6 +87,22 @@ class Submersion:
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         return np.atleast_2d(self.map(np.atleast_2d(pts)))
 
+    def affine(self, c: np.ndarray) -> tuple:
+        """(B(c), dB(c)): the value and the differential at the point c."""
+        c = np.asarray(c, dtype=float)
+        return self(c[None, :])[0], np.atleast_2d(self.jacobian(c))
+
+
+def _remainder_norms(s: Submersion, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Euclidean norms |B(x) - B(c) - dB(c)(x - c)| of the Taylor remainders at
+    the rows of x, about the paired rows of c or about one centre c shared by
+    every row: one map call for the points and one for the centres."""
+    if c.ndim == 1:
+        b, J = s.affine(c)
+        return np.linalg.norm(s(x) - b - (x - c) @ J.T, axis=1)
+    J = np.stack([np.atleast_2d(s.jacobian(ck)) for ck in c])
+    return np.linalg.norm(s(x) - s(c) - (J @ (x - c)[:, :, None])[:, :, 0], axis=1)
+
 
 def validate_submersion(s: Submersion) -> list:
     """Spot-check the jacobian and the quadratic remainder bound on 64 points
@@ -93,10 +112,9 @@ def validate_submersion(s: Submersion) -> list:
     out = []
     gen = mc.chunk_generator(0, 11, 0)
     pts = mc.uniform_ball(gen, 64, s.base_point, 0.5)
-    vals = s(pts)
-    nj = vals.shape[1]
     h = 1e-5
-    J0 = np.atleast_2d(s.jacobian(s.base_point))
+    b0, J0 = s.affine(s.base_point)
+    nj = b0.shape[0]
     if J0.shape != (nj, s.n):
         out.append(f"jacobian shape {J0.shape} does not match map ({nj}, {s.n})")
         return out
@@ -118,10 +136,9 @@ def validate_submersion(s: Submersion) -> list:
                     f"{err:.3e} > {bound:.3e}"
                 )
                 break
-    base_val = s(s.base_point[None, :])[0]
-    rem = vals - base_val - (pts - s.base_point) @ J0.T
     norms2 = np.sum((pts - s.base_point) ** 2, axis=1)
-    excess = np.linalg.norm(rem, axis=1) - s.c2_bound * norms2 * (1.0 + FD_SLACK) - 1e-12
+    rem = _remainder_norms(s, s.base_point, pts)
+    excess = rem - s.c2_bound * norms2 * (1.0 + FD_SLACK) - 1e-12
     if np.any(excess > 0):
         k = int(np.argmax(excess))
         out.append(
@@ -160,18 +177,6 @@ class NonlinearDatum:
         u = self.base_point() if u is None else np.asarray(u, dtype=float)
         maps = [np.atleast_2d(s.jacobian(u)) for s in self.submersions]
         return BLDatum(n=self.n, maps=maps, exponents=list(self.exponents))
-
-    def affine_map(self, u: np.ndarray, j: int) -> Callable:
-        """The affine linearization x -> B_j(u) + dB_j(u)(x - u)."""
-        s = self.submersions[j]
-        u = np.asarray(u, dtype=float)
-        b = s(u[None, :])[0]
-        J = np.atleast_2d(s.jacobian(u))
-
-        def lin(pts):
-            return b + (np.atleast_2d(pts) - u) @ J.T
-
-        return lin
 
     def validate(self) -> list:
         out = []
@@ -269,8 +274,8 @@ class Region:
         s, c, r = self.submersion, self.center, self.radius
         if s is None:
             return c, r
-        J = np.atleast_2d(s.jacobian(c))
-        return s(c[None, :])[0], float(np.linalg.norm(J, 2)) * r + s.c2_bound * r * r
+        b, J = s.affine(c)
+        return b, float(np.linalg.norm(J, 2)) * r + s.c2_bound * r * r
 
 
 def ball_sampler(center: np.ndarray, radius: float) -> Region:
@@ -387,8 +392,8 @@ def _linearized_gaussian(nd: NonlinearDatum, funcs: Sequence, center: np.ndarray
     for p, s, fj in zip(nd.exponents, nd.submersions, funcs):
         if p == 0.0:
             continue
-        J = np.atleast_2d(s.jacobian(center))
-        e = s(center[None, :])[0] - J @ center - fj.center
+        Bc, J = s.affine(center)
+        e = Bc - J @ center - fj.center
         JtA = J.T @ fj.A
         M += p * JtA @ J
         b += p * JtA @ e
@@ -629,8 +634,8 @@ def recursive_step_check(
     ext = solve_extremiser(nd.linearize(lp.u))
     g_scaled = scale_gaussian(ext.gaussians, delta_fine)
 
-    lins = [nd.affine_map(lp.u, j) for j in range(nd.m)]
-    centres = [[lin(x[None, :])[0] for lin in lins] for x in x_grid]
+    affines = [s.affine(lp.u) for s in nd.submersions]
+    centres = [[b + (x - lp.u) @ J.T for b, J in affines] for x in x_grid]
     g = InputTuple([GaussianFunction(A, c) for A, c in zip(g_scaled.blocks, g_scaled.amplitudes)])
     certifications = []
 
@@ -739,7 +744,8 @@ def perturbation_check(
     ext = solve_extremiser(nd.linearize(u))
     delta_fine = delta**alpha
     g = scale_gaussian(ext.gaussians, delta_fine)
-    jac = [np.atleast_2d(s.jacobian(u)) for s in nd.submersions]
+    affines = [s.affine(u) for s in nd.submersions]
+    jac = [J for _, J in affines]
 
     def recentred(shifts):
         # x -> prod_j g_j(dB_j(u) x - shift_j)^{p_j}
@@ -754,8 +760,8 @@ def perturbation_check(
     lhs_integrand = recentred([(y[None, :] @ J.T)[0] for J in jac])
     rhs_integrand = recentred(
         [
-            s(y[None, :])[0] - s(u[None, :])[0] + (u[None, :] @ J.T)[0]
-            for s, J in zip(nd.submersions, jac)
+            s(y[None, :])[0] - b + (u[None, :] @ J.T)[0]
+            for s, (b, J) in zip(nd.submersions, affines)
         ]
     )
     # three estimates on one stream: each draws the same points
@@ -790,18 +796,12 @@ def perturbation_check(
 
 
 def _linear_submersions(datum: BLDatum) -> list:
-    subs = []
-    for L in datum.maps:
-        Lc = L.copy()
-        subs.append(
-            Submersion(
-                map=(lambda Lc: lambda pts: np.atleast_2d(pts) @ Lc.T)(Lc),
-                jacobian=(lambda Lc: lambda x: Lc)(Lc),
-                base_point=np.zeros(L.shape[1]),
-                c2_bound=0.0,
-            )
+    return [
+        Submersion(
+            lambda pts, L=L: np.atleast_2d(pts) @ L.T, lambda x, L=L: L, np.zeros(L.shape[1]), 0.0
         )
-    return subs
+        for L in (L.copy() for L in datum.maps)
+    ]
 
 
 def _young_group(d: int, quotient: Callable, jacobian: Callable, c2: float) -> list:
@@ -900,39 +900,36 @@ def _affine_group() -> list:
 
     def j2(w):
         x1, x2, y1, y2 = (float(v) for v in w)
-        E = lambda a: float(_expm1_ratio(np.array([a]))[0])
-        Ep = lambda a: float(_expm1_ratio_prime(np.array([a]))[0])
-        N = x2 * E(x1) - y2 * E(y1)
-        D = E(x1 - y1)
+        a = np.array([x1, y1, x1 - y1])
+        (Ex, Ey, D), (Epx, Epy, Epd) = _expm1_ratio(a).tolist(), _expm1_ratio_prime(a).tolist()
+        N = x2 * Ex - y2 * Ey
         ey = math.exp(-y1)
         J = np.zeros((2, 4))
         J[0, 0] = 1.0
         J[0, 2] = -1.0
-        J[1, 0] = ey * (x2 * Ep(x1) * D - N * Ep(x1 - y1)) / D**2
-        J[1, 1] = ey * E(x1) / D
-        J[1, 2] = ey * (-N / D - y2 * Ep(y1) / D + N * Ep(x1 - y1) / D**2)
-        J[1, 3] = -ey * E(y1) / D
+        J[1, 0] = ey * (x2 * Epx * D - N * Epd) / D**2
+        J[1, 1] = ey * Ex / D
+        J[1, 2] = ey * (-N / D - y2 * Epy / D + N * Epd / D**2)
+        J[1, 3] = -ey * Ey / D
         return J
 
-    return _young_group(2, b2, j2, _estimate_c2(b2, j2, np.zeros(4), radius=0.6))
+    return _young_group(2, b2, j2, _estimate_c2(Submersion(b2, j2, np.zeros(4), 0.0), 0.6))
 
 
-def _estimate_c2(map_fn, jac_fn, base: np.ndarray, radius: float) -> float:
-    """Sampled bound on the quadratic Taylor remainder, with a safety factor."""
+def _estimate_c2(s: Submersion, radius: float) -> float:
+    """Sampled bound on the euclidean Taylor remainder of s about points of
+    the ball of the given radius around its base point, with a safety factor
+    of 1.5: one batched remainder scan per chunk of the 4096 sampled pairs."""
     worst = 0.0
     for index, size in mc.iter_chunks(4096):
         gen = mc.chunk_generator(0, 13, index)
-        centers = mc.uniform_ball(gen, size, base, radius)
-        offsets = mc.uniform_ball(gen, size, np.zeros_like(base), 0.5 * radius)
+        centers = mc.uniform_ball(gen, size, s.base_point, radius)
+        offsets = mc.uniform_ball(gen, size, np.zeros(s.n), 0.5 * radius)
         pts = centers + offsets
-        for k in range(0, size, 512):
-            sl = slice(k, min(k + 512, size))
-            for c, x in zip(centers[sl], pts[sl]):
-                J = np.atleast_2d(jac_fn(c))
-                rem = map_fn(x[None, :])[0] - map_fn(c[None, :])[0] - J @ (x - c)
-                d2 = float(np.sum((x - c) ** 2))
-                if d2 > 1e-12:
-                    worst = max(worst, float(np.abs(rem).max()) / d2)
+        d2 = np.sum((pts - centers) ** 2, axis=1)
+        keep = d2 > 1e-12
+        ratios = _remainder_norms(s, centers, pts)[keep] / d2[keep]
+        worst = max(worst, float(np.max(ratios, initial=0.0)))
     return 1.5 * worst
 
 

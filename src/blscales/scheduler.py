@@ -4,7 +4,8 @@ Scales follow delta_k = delta_0^(alpha^k); the recursion stops at the first
 k with delta_k^(alpha + beta') <= mu, after which the base case applies.
 Each recursive step costs a factor (1 + delta_k^beta) and lets the constancy
 level grow by exp(delta_k^beta), so the total loss is controlled by the
-series sum_k delta_0^(alpha^k beta).
+series sum_k delta_0^(alpha^k beta).  A loss factor too large for a float is
+inf, as a float product that overflows is.
 """
 from __future__ import annotations
 
@@ -82,7 +83,9 @@ def schedule(params: ScheduleParams) -> tuple:
         if thresh * log_dk <= log_mu:
             return deltas, k
         power *= params.alpha
-    raise RuntimeError("schedule did not reach the base-case threshold")
+    raise ValueError(
+        f"schedule did not reach the base-case threshold in {_SERIES_MAX_TERMS} steps"
+    )
 
 
 def step_losses(delta0: float, alpha: float, beta: float) -> Iterator[float]:
@@ -95,30 +98,57 @@ def step_losses(delta0: float, alpha: float, beta: float) -> Iterator[float]:
         power *= alpha
 
 
+def _exp(x: float) -> float:
+    """math.exp, with inf in place of an overflow."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def running_products(params: ScheduleParams, k_star: int) -> list:
+    """The products of the per-step losses (1 + delta_i^beta) exp(sigma delta_i^beta)
+    over i < k, for k = 0 .. k*, by direct multiplication in one pass."""
+    _require_valid(params)
+    if k_star < 0:
+        raise ValueError("k_star must be nonnegative")
+    out = [1.0]
+    for t in islice(step_losses(params.delta0, params.alpha, params.beta), k_star):
+        out.append(out[-1] * ((1.0 + t) * _exp(params.sigma * t)))
+    return out
+
+
 def accumulated_factor(params: ScheduleParams, k_star: int) -> tuple:
     """Product of per-step losses over the recursive scales k < k*.
 
     Returns (product, log_bound) where product = prod (1 + delta_k^beta)
-    exp(sigma delta_k^beta) by direct multiplication and log_bound is the full
-    series majorant (1 + sigma) sum_{k>=0} delta0^(alpha^k beta), so that
-    log(product) <= log_bound always.
+    exp(sigma delta_k^beta), the last of `running_products`, and log_bound is
+    the full series majorant (1 + sigma) sum_{k>=0} delta0^(alpha^k beta), so
+    that log(product) <= log_bound always.
     """
-    _require_valid(params)
-    if k_star < 0:
-        raise ValueError("k_star must be nonnegative")
-    product = 1.0
-    for t in islice(step_losses(params.delta0, params.alpha, params.beta), k_star):
-        product *= (1.0 + t) * math.exp(params.sigma * t)
+    product = running_products(params, k_star)[-1]
     log_bound = (1.0 + params.sigma) * _series_sum(params.delta0, params.alpha, params.beta)
     return product, log_bound
 
 
+def _series_terms(delta0: float, alpha: float, beta: float) -> Iterator[float]:
+    """The terms t_k of the full series up to the first below _SERIES_FLOOR;
+    ValueError when _SERIES_MAX_TERMS terms do not get there, since a partial
+    sum would pass for the full one."""
+    for t in islice(step_losses(delta0, alpha, beta), _SERIES_MAX_TERMS):
+        yield t
+        if t < _SERIES_FLOOR:
+            return
+    raise ValueError(
+        f"the loss series sum_k delta0^(alpha^k beta) has not fallen below "
+        f"{_SERIES_FLOOR:g} in {_SERIES_MAX_TERMS} terms"
+    )
+
+
 def _series_sum(delta0: float, alpha: float, beta: float) -> float:
     total = 0.0
-    for t in islice(step_losses(delta0, alpha, beta), _SERIES_MAX_TERMS):
+    for t in _series_terms(delta0, alpha, beta):
         total += t
-        if t < _SERIES_FLOOR:
-            break
     return total
 
 
@@ -139,11 +169,9 @@ def kappa_evolution(params: ScheduleParams, k_star: int, kappa0: float) -> list:
 def total_loss_factor(delta0: float, alpha: float, beta: float, sigma: float) -> float:
     """Full-series loss prod_{k>=0} (1 + t_k) exp(sigma t_k), t_k = delta0^(alpha^k beta)."""
     acc = 0.0
-    for t in islice(step_losses(delta0, alpha, beta), _SERIES_MAX_TERMS):
+    for t in _series_terms(delta0, alpha, beta):
         acc += math.log1p(t) + sigma * t
-        if t < _SERIES_FLOOR:
-            break
-    return math.exp(acc)
+    return _exp(acc)
 
 
 def choose_delta0(epsilon: float, sigma: float, alpha: float, beta: float) -> float:
@@ -177,9 +205,12 @@ def choose_delta0(epsilon: float, sigma: float, alpha: float, beta: float) -> fl
 
 
 def final_bound(epsilon: float, sigma: float) -> float:
-    """(1 + epsilon)^(sigma + 3); requires epsilon > 0."""
+    """(1 + epsilon)^(sigma + 3), inf if that overflows; requires epsilon > 0."""
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
-    return (1.0 + epsilon) ** (sigma + 3.0)
+    try:
+        return (1.0 + epsilon) ** (sigma + 3.0)
+    except OverflowError:
+        return math.inf

@@ -14,6 +14,7 @@ import pytest
 from blscales import cli
 from blscales.cli import main
 from blscales.datum import BLDatum, save_datum
+from blscales.scheduler import ScheduleParams
 from conftest import young_maps
 
 ROOT3_OVER_2 = 0.8660254037844386
@@ -421,6 +422,41 @@ def test_schedule_rejects_bad_exponents(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "alpha" in err
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_schedule_beyond_the_step_limit_exits_two(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert run(["schedule", "--alpha", "1.0000001", "--mu", "1e-300", "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, field",
+    [(["--epsilon", "1e300"], "final_bound"), (["--sigma", "1e10"], "accumulated_factor")],
+)
+def test_schedule_writes_inf_for_an_overflowing_factor(tmp_path, extra, field):
+    out = tmp_path / "s.csv"
+    assert run(["schedule", *extra, "--output", str(out)]) == 0
+    assert f"# {field} = inf" in out.read_text().splitlines()
+
+
+def test_schedule_takes_the_running_products_in_one_pass(tmp_path, monkeypatch):
+    calls = []
+    plain = cli.accumulated_factor
+    monkeypatch.setattr(
+        cli, "accumulated_factor", lambda *a: calls.append(a) or plain(*a)
+    )
+    out = tmp_path / "s.csv"
+    argv = ["--alpha", "1.2", "--beta", "0.5", "--beta-prime", "0.6", "--delta0", "0.3"]
+    assert run(["schedule", *argv, "--output", str(out)]) == 0
+    assert len(calls) <= 1
+    # each row's product is the one a call over its first min(k + 1, k*) steps gives
+    params = ScheduleParams(alpha=1.2, beta=0.5, beta_prime=0.6, delta0=0.3, mu=1e-10)
+    rows = [line.split(",") for line in out.read_text().splitlines()[6:]]
+    k_star = len(rows) - 1
+    for k, row in enumerate(rows):
+        assert row[3] == cli._fmt(plain(params, min(k + 1, k_star))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -84,3 +84,64 @@ def test_every_definition_is_referenced():
         for name in sorted(definitions(path.read_text(encoding="utf-8")) - mentioned)
     ]
     assert unreferenced == []
+
+
+# the one raise that may name another class: the JSON writer's `default`
+# hook must raise TypeError for an object it cannot encode
+RAISE_EXCEPTIONS = {("cli.py", "_np_default", "TypeError")}
+
+
+def value_error_classes(sources: list) -> set:
+    """ValueError and the classes of the sources that derive from it."""
+    bases = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {b.id for b in node.bases if isinstance(b, ast.Name)}
+    out = {"ValueError"}
+    while True:
+        more = {name for name, b in bases.items() if b & out} - out
+        if not more:
+            return out
+        out |= more
+
+
+def raised_names(source: str) -> list:
+    """(top-level definition, raised class name) of each raise statement; a
+    bare re-raise gives None."""
+    out = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+                out.append((getattr(top, "name", None), name))
+    return out
+
+
+def test_scan_finds_raises_outside_value_error():
+    source = (
+        "class AError(ValueError): pass\n"
+        "class BError(AError): pass\n"
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise BError('b')\n"
+        "    raise RuntimeError('r')\n"
+    )
+    allowed = value_error_classes([source])
+    assert allowed == {"ValueError", "AError", "BError"}
+    assert [r for r in raised_names(source) if r[1] not in allowed] == [("f", "RuntimeError")]
+
+
+def test_every_raise_is_a_value_error():
+    """cli.main turns ValueError and its subclasses into exit 1 or 2, so an
+    error of any other class would escape it as a traceback."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    allowed = value_error_classes(list(sources.values()))
+    stray = [
+        (module, top, name)
+        for module, source in sources.items()
+        for top, name in raised_names(source)
+        if name not in allowed and (module, top, name) not in RAISE_EXCEPTIONS
+    ]
+    assert stray == []

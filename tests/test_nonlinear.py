@@ -224,6 +224,51 @@ def test_validate_submersion_reads_c2_in_the_euclidean_norm():
     assert validate_submersion(make(math.sqrt(2.0))) == []
 
 
+@pytest.mark.parametrize("tag", ["linear", *_registry_examples()])
+def test_affine_is_the_value_and_the_jacobian(tag, young_datum):
+    nd = registry(tag, datum=young_datum if tag == "linear" else None)
+    rng = np.random.default_rng(31)
+    for s in nd.submersions:
+        for c in rng.uniform(-0.4, 0.4, (5, nd.n)):
+            b, J = s.affine(c)
+            assert b.tobytes() == s(c[None, :])[0].tobytes()
+            assert J.tobytes() == np.atleast_2d(s.jacobian(c)).tobytes()
+            assert J.shape == (b.shape[0], nd.n)
+
+
+def _vector_remainder(c2: float) -> Submersion:
+    # B(w) = w + w1^2 (1, 1, 1): the remainder h1^2 (1, 1, 1) has max norm
+    # h1^2 but euclidean norm sqrt(3) h1^2
+    return Submersion(
+        map=lambda pts: pts + pts[:, :1] ** 2 * np.ones(3),
+        jacobian=lambda w: np.eye(3) + np.outer(np.ones(3), [2.0 * w[0], 0.0, 0.0]),
+        base_point=np.zeros(3),
+        c2_bound=c2,
+    )
+
+
+def test_sampled_c2_is_read_in_the_euclidean_norm():
+    c2 = nonlinear._estimate_c2(_vector_remainder(0.0), 0.6)
+    assert math.sqrt(3.0) <= c2 <= 1.5 * math.sqrt(3.0)
+    assert validate_submersion(_vector_remainder(c2)) == []
+    # the same scan in the max norm, c2 / sqrt(3), is too small
+    assert any(
+        "quadratic remainder" in m
+        for m in validate_submersion(_vector_remainder(c2 / math.sqrt(3.0)))
+    )
+
+
+def test_estimate_c2_scans_each_chunk_in_one_batch():
+    s = _vector_remainder(0.0)
+    calls = []
+    plain = s.map
+    s.map = lambda pts: calls.append(len(pts)) or plain(pts)
+    nonlinear._estimate_c2(s, 0.6)
+    chunks = sum(1 for _ in nonlinear.mc.iter_chunks(4096))
+    assert len(calls) <= 2 * chunks
+    assert sum(calls) == 2 * 4096
+
+
 def test_validate_submersion_flags_nonsurjective():
     s = Submersion(
         map=lambda pts: 0.0 * np.atleast_2d(pts)[:, :1],

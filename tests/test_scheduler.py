@@ -15,6 +15,7 @@ from blscales.scheduler import (
     choose_delta0,
     final_bound,
     kappa_evolution,
+    running_products,
     schedule,
     total_loss_factor,
     validate_params,
@@ -195,3 +196,39 @@ def test_final_bound():
         final_bound(0.0, 2.0)
     with pytest.raises(ValueError):
         final_bound(0.1, -1.0)
+
+
+# alpha this close to 1 needs millions of steps, beyond _SERIES_MAX_TERMS
+SLOW = dict(alpha=1.0000001, beta=0.3, beta_prime=0.4, delta0=0.1)
+
+
+def test_schedule_beyond_the_step_limit_raises_value_error():
+    with pytest.raises(ValueError, match="threshold"):
+        schedule(ScheduleParams(**SLOW, mu=1e-300))
+
+
+def test_unfinished_series_raise_value_error():
+    # the series needs about 1.1e7 terms; a partial sum would pass for the full one
+    with pytest.raises(ValueError, match="series"):
+        total_loss_factor(1e-33, 1.0000001, 0.3, 2.0)
+    with pytest.raises(ValueError, match="series"):
+        choose_delta0(1e-3, 2.0, 1.0000001, 0.3)
+    with pytest.raises(ValueError, match="series"):
+        accumulated_factor(ScheduleParams(**SLOW, mu=0.5), 1)
+
+
+def test_overflowing_factors_are_inf():
+    assert final_bound(1e300, 2.0) == math.inf
+    p = ScheduleParams(alpha=1.5, beta=0.3, beta_prime=0.4, delta0=0.1, mu=1e-10, sigma=1e10)
+    _, k_star = schedule(p)
+    prod, log_bound = accumulated_factor(p, k_star)
+    assert prod == math.inf and math.isfinite(log_bound)
+    assert total_loss_factor(0.1, 1.5, 0.3, 1e10) == math.inf
+
+
+def test_running_products_match_accumulated_factor_bitwise():
+    p = ScheduleParams(alpha=1.05, beta=0.1, beta_prime=0.5, delta0=0.2, mu=1e-10, sigma=3.5)
+    _, k_star = schedule(p)
+    running = running_products(p, k_star)
+    assert len(running) == k_star + 1 and running[0] == 1.0
+    assert running == [accumulated_factor(p, k)[0] for k in range(k_star + 1)]
