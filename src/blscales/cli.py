@@ -1,7 +1,9 @@
 """Command line front end.
 
 Exit status: 0 on success (including inconclusive checks, which are flagged in
-the output), 1 when a numerical check fails, 2 on usage or input errors.
+the output), 1 when a numerical check fails, 2 on usage or input errors.  An
+input error's stderr line begins with `error:`, a check error's with
+`check error:`.
 All outputs are deterministic functions of the flags; files are written
 atomically.
 """
@@ -15,7 +17,7 @@ import sys
 import numpy as np
 
 from . import mc
-from .datum import BLDatum, DatumError, finiteness_check, load_datum
+from .datum import BLDatum, finiteness_check, load_datum
 from .functional import (
     Box,
     GaussianFunction,
@@ -43,7 +45,6 @@ from .scheduler import (
     kappa_evolution,
     running_products,
     schedule,
-    validate_params,
 )
 
 
@@ -85,37 +86,42 @@ def _threads() -> int:
 
 
 def _quad(args) -> QuadratureSpec:
-    return QuadratureSpec(
-        method=args.method, resolution=args.resolution, seed=args.seed
-    )
+    return QuadratureSpec(method=args.method, resolution=args.resolution, seed=args.seed)
 
 
-def _solve(args, keep_gaussians: bool) -> int:
+def _write_report(args, out: dict, *flags, **extra):
+    """Write a report's JSON with the flags that produced it, each under its
+    own name, and the `extra` keys."""
+    out.update({flag: getattr(args, flag) for flag in flags}, **extra)
+    _write_json(args.output, out)
+
+
+def _write_table(path, header: dict, columns: str, rows):
+    """CSV with a `# key = value` header, a column line and `_fmt` rows."""
+    lines = [f"# {key} = {value}" for key, value in header.items()]
+    lines.append(columns)
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+QUAD_FLAGS = ("seed", "method", "resolution")
+
+
+def cmd_solve(args) -> int:
     res = solve_extremiser(load_datum(args.input), tol=args.tol, max_iter=args.max_iter)
     out = res.to_json()
-    if not keep_gaussians:
+    if args.command == "constant":
         del out["blocks"], out["amplitudes"]
-    out["tol"] = args.tol
-    _write_json(args.output, out)
+    _write_report(args, out, "tol")
     return 0 if res.converged else 1
-
-
-def cmd_constant(args) -> int:
-    return _solve(args, keep_gaussians=False)
-
-
-def cmd_extremiser(args) -> int:
-    return _solve(args, keep_gaussians=True)
 
 
 def cmd_finiteness(args) -> int:
     datum = load_datum(args.input)
     # `randomized` stays a name for exact-lattice, so that existing calls still run
     mode = "exact-lattice" if args.mode == "randomized" else args.mode
-    out = finiteness_check(datum, mode=mode, budget=args.budget).to_json()
-    out["mode"] = args.mode
-    out["budget"] = args.budget
-    _write_json(args.output, out)
+    report = finiteness_check(datum, mode=mode, budget=args.budget)
+    _write_report(args, report.to_json(), "mode", "budget")
     # an infinite verdict is a successful determination, not a check failure;
     # the verdict lives in the artifact, the status only reports usage errors
     return 0
@@ -125,60 +131,38 @@ def _gaussian_inputs(g) -> InputTuple:
     return InputTuple([GaussianFunction(A, c) for A, c in zip(g.blocks, g.amplitudes)])
 
 
-def _build_inputs(datum: BLDatum, kind: str) -> InputTuple:
+def _build_inputs(datum: BLDatum, kind: str, ext=None, corner: float = 0.0) -> InputTuple:
+    """The inputs of a `--inputs` kind: the extremiser's gaussians (`ext`, or
+    solved here), isotropic gaussians, or indicators of unit cubes with lower
+    corner `corner` in every coordinate."""
     if kind == "extremiser":
-        return _gaussian_inputs(solve_extremiser(datum).gaussians)
+        return _gaussian_inputs((ext or solve_extremiser(datum)).gaussians)
     if kind == "gaussian-iso":
-        return InputTuple(
-            [GaussianFunction(np.eye(nj)) for nj in datum.codims]
-        )
+        return InputTuple([GaussianFunction(np.eye(nj)) for nj in datum.codims])
     if kind == "indicator":
         return InputTuple(
-            [IndicatorFunction(Box([0.0] * nj, [1.0] * nj)) for nj in datum.codims]
+            [IndicatorFunction(Box([corner] * nj, [corner + 1.0] * nj)) for nj in datum.codims]
         )
     raise ValueError(f"unknown input kind {kind!r}")
 
 
 def cmd_functional(args) -> int:
     datum = load_datum(args.input)
-    inputs = _build_inputs(datum, args.inputs)
-    value, err = bl_functional(datum, inputs, _quad(args))
-    out = {
-        "value": value,
-        "stderr": err,
-        "inputs": args.inputs,
-        "method": args.method,
-        "resolution": args.resolution,
-        "seed": args.seed,
-    }
-    _write_json(args.output, out)
+    value, err = bl_functional(datum, _build_inputs(datum, args.inputs), _quad(args))
+    _write_report(args, {"value": value, "stderr": err}, "inputs", *QUAD_FLAGS)
     return 0
 
 
 def cmd_ball_check(args) -> int:
     datum = load_datum(args.input)
     res = solve_extremiser(datum)
-    gauss = _gaussian_inputs(res.gaussians)
-    if args.inputs == "indicator":
-        f = InputTuple(
-            [
-                IndicatorFunction(Box([-0.5] * nj, [0.5] * nj))
-                for nj in datum.codims
-            ]
-        )
-    elif args.inputs == "extremiser":
-        f = gauss
-    else:
-        f = _build_inputs(datum, args.inputs)
+    f = _build_inputs(datum, args.inputs, ext=res, corner=-0.5)
     x_grid = np.zeros((1, datum.n))
     report = ball_inequality_check(
-        datum, f, gauss, x_grid, _quad(args), near_extremiser=res.converged
+        datum, f, _gaussian_inputs(res.gaussians), x_grid, _quad(args),
+        near_extremiser=res.converged,
     )
-    out = report.to_json()
-    out["method"] = args.method
-    out["resolution"] = args.resolution
-    out["seed"] = args.seed
-    _write_json(args.output, out)
+    _write_report(args, report.to_json(), *QUAD_FLAGS)
     return 1 if report.verdict == "fail" else 0
 
 
@@ -186,9 +170,7 @@ def cmd_nonlinear(args) -> int:
     datum = load_datum(args.input) if args.input else None
     nd = registry(args.group, datum=datum)
     u = nd.base_point()
-    lp = LocalizedProblem(
-        center=tuple(u), delta=args.delta0, mu=args.mu, kappa=args.kappa
-    )
+    lp = LocalizedProblem(center=tuple(u), delta=args.delta0, mu=args.mu, kappa=args.kappa)
     q = _quad(args)
     ext = solve_extremiser(nd.linearize(u))
     f = _gaussian_inputs(scale_gaussian(ext.gaussians, args.delta0))
@@ -200,14 +182,8 @@ def cmd_nonlinear(args) -> int:
         report = recursive_step_check(
             nd, lp, f, x_grid, q, args.alpha, args.beta, args.beta_prime
         )
-    out = report.to_json()
-    out["group"] = args.group
-    out["mode"] = args.mode
-    out["delta"] = args.delta0
-    out["mu"] = args.mu
-    out["kappa"] = args.kappa
-    out["seed"] = args.seed
-    _write_json(args.output, out)
+    flags = ("group", "mode", "mu", "kappa", *QUAD_FLAGS)
+    _write_report(args, report.to_json(), *flags, delta=args.delta0)
     return 1 if report.verdict == "fail" else 0
 
 
@@ -216,68 +192,46 @@ def cmd_young_lie(args) -> int:
     if not deltas:
         raise ValueError("no scales supplied")
     table = lie_group_young(
-        args.group,
-        deltas,
-        q=_quad(args),
-        mu=args.mu,
-        kappa=args.kappa,
-        workers=_threads(),
+        args.group, deltas, q=_quad(args), mu=args.mu, kappa=args.kappa, workers=_threads()
     )
-    lines = [
-        f"# group = {args.group}",
-        f"# seed = {args.seed}",
-        f"# method = {args.method}",
-        f"# resolution = {args.resolution}",
-        f"# bound = {_fmt(table['bound'])}",
-        "delta,ratio,stderr,bound,slack",
-    ]
-    for row in table["rows"]:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (row.delta, row.ratio, row.stderr, row.bound, row.slack)
-            )
-        )
-    _write_text(args.output, "\n".join(lines) + "\n")
+    header = {flag: getattr(args, flag) for flag in ("group", *QUAD_FLAGS)}
+    header["bound"] = _fmt(table["bound"])
+    rows = [(r.delta, r.ratio, r.stderr, r.bound, r.slack) for r in table["rows"]]
+    _write_table(args.output, header, "delta,ratio,stderr,bound,slack", rows)
     bad = any(mc.verdict(row.slack, row.stderr) == "fail" for row in table["rows"])
     return 1 if bad else 0
 
 
 def cmd_schedule(args) -> int:
     params = ScheduleParams(
-        alpha=args.alpha,
-        beta=args.beta,
-        beta_prime=args.beta_prime,
-        delta0=args.delta0,
-        mu=args.mu,
-        epsilon=args.epsilon,
-        sigma=args.sigma,
+        alpha=args.alpha, beta=args.beta, beta_prime=args.beta_prime, delta0=args.delta0,
+        mu=args.mu, epsilon=args.epsilon, sigma=args.sigma,
     )
-    bad = validate_params(params)
-    if bad:
-        print("; ".join(bad), file=sys.stderr)
-        return 2
     deltas, k_star = schedule(params)
     product, log_bound = accumulated_factor(params, k_star)
     kappas = kappa_evolution(params, k_star, args.kappa0)
     # row k carries the product through step min(k + 1, k*)
     running = running_products(params, k_star)
     running = running[1:] + running[-1:]
-    lines = [
-        f"# seed = {args.seed}",
-        f"# k_star = {k_star}",
-        f"# accumulated_factor = {_fmt(product)}",
-        f"# log_bound = {_fmt(log_bound)}",
-        f"# final_bound = {_fmt(final_bound(params.epsilon, params.sigma))}",
-        "k,delta_k,kappa_k,running_product",
-    ]
-    for k, (d, kappa, prod) in enumerate(zip(deltas, kappas, running)):
-        lines.append(f"{k},{_fmt(d)},{_fmt(kappa)},{_fmt(prod)}")
-    _write_text(args.output, "\n".join(lines) + "\n")
+    header = {
+        "seed": args.seed,
+        "k_star": k_star,
+        "accumulated_factor": _fmt(product),
+        "log_bound": _fmt(log_bound),
+        "final_bound": _fmt(final_bound(params.epsilon, params.sigma)),
+    }
+    rows = zip(range(k_star + 1), deltas, kappas, running)
+    _write_table(args.output, header, "k,delta_k,kappa_k,running_product", rows)
     return 0
 
 
-def _add_common(p, quad=False, solver=False):
+def _add_common(p, datum=False, inputs=None, quad=False, solver=False):
+    if datum:
+        p.add_argument("--input", required=True)
+    if inputs:
+        p.add_argument(
+            "--inputs", choices=["gaussian-iso", "extremiser", "indicator"], default=inputs
+        )
     p.add_argument("--output", default=None, help="output path (default stdout)")
     p.add_argument(
         "--seed",
@@ -304,16 +258,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constant", help="gaussian constant of a datum")
-    p.add_argument("--input", required=True)
-    _add_common(p, solver=True)
-    p.set_defaults(fn=cmd_constant)
+    _add_common(p, datum=True, solver=True)
+    p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("extremiser", help="gaussian extremiser blocks")
-    p.add_argument("--input", required=True)
-    _add_common(p, solver=True)
-    p.set_defaults(fn=cmd_extremiser)
+    _add_common(p, datum=True, solver=True)
+    p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("finiteness", help="finiteness and simplicity report")
+    # --input ahead of --mode, as the usage line has always shown it
     p.add_argument("--input", required=True)
     p.add_argument(
         "--mode",
@@ -325,23 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_finiteness)
 
     p = sub.add_parser("functional", help="evaluate the functional on inputs")
-    p.add_argument("--input", required=True)
-    p.add_argument(
-        "--inputs",
-        choices=["gaussian-iso", "extremiser", "indicator"],
-        default="gaussian-iso",
-    )
-    _add_common(p, quad=True)
+    _add_common(p, datum=True, inputs="gaussian-iso", quad=True)
     p.set_defaults(fn=cmd_functional)
 
     p = sub.add_parser("ball-check", help="convolution inequality check")
-    p.add_argument("--input", required=True)
-    p.add_argument(
-        "--inputs",
-        choices=["gaussian-iso", "extremiser", "indicator"],
-        default="indicator",
-    )
-    _add_common(p, quad=True)
+    _add_common(p, datum=True, inputs="indicator", quad=True)
     p.set_defaults(fn=cmd_ball_check)
 
     p = sub.add_parser("nonlinear", help="base or recursive step check")
@@ -385,9 +326,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except DatumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ThresholdError, UncertifiedInputError, SingularMatrixError) as exc:
         print(f"check error: {exc}", file=sys.stderr)
         return 1

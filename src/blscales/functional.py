@@ -27,6 +27,7 @@ import numpy as np
 
 from . import mc
 from .datum import BLDatum, DatumError, Report, validate_datum
+from .gaussians import block_defect
 
 BOUNDARY_MASS_LIMIT = 0.01
 
@@ -151,10 +152,13 @@ class GaussianFunction:
         self.center = (
             np.zeros(d) if center is None else np.asarray(center, dtype=float).reshape(d)
         )
+        bad = block_defect(self.A)
+        if bad:
+            raise ValueError(f"gaussian block {bad}")
         det = float(np.linalg.det(self.A))
-        if det <= 0:
-            raise ValueError("gaussian block must be positive definite")
         self.amplitude = float(math.sqrt(det) if amplitude is None else amplitude)
+        if not (0.0 <= self.amplitude < math.inf):
+            raise ValueError(f"gaussian amplitude {self.amplitude} is not finite and nonnegative")
         cov_diag = np.diag(np.linalg.inv(self.A)) / (2.0 * math.pi)
         radii = RADIUS_SIGMAS * np.sqrt(cov_diag)
         self.box = Box(self.center - radii, self.center + radii)

@@ -33,6 +33,21 @@ class SingularMatrixError(ValueError):
         self.direction = direction
 
 
+def block_defect(A: np.ndarray) -> Optional[str]:
+    """Why A is not the block of a gaussian exp(-pi <A x, x>), or None: it must
+    be square, finite, symmetric within SYM_RTOL and positive definite."""
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        return f"is not square: {A.shape}"
+    if not np.isfinite(A).all():
+        return "is not finite"
+    if np.abs(A - A.T).max() > SYM_RTOL * max(np.abs(A).max(), 1.0):
+        return "is not symmetric"
+    w = np.linalg.eigvalsh(0.5 * (A + A.T))
+    if w[0] <= 0:
+        return f"is not positive definite (min eig {w[0]:.3e})"
+    return None
+
+
 @dataclass
 class GaussianTuple:
     """Centred gaussian inputs: blocks A_j (SPD) and amplitudes c_j."""
@@ -51,18 +66,7 @@ class GaussianTuple:
         return cls(blocks=blocks, amplitudes=amps)
 
     def validate(self) -> list:
-        out = []
-        for j, A in enumerate(self.blocks):
-            if A.shape[0] != A.shape[1]:
-                out.append(f"block {j} is not square: {A.shape}")
-                continue
-            scale = max(np.abs(A).max(), 1.0)
-            if np.abs(A - A.T).max() > SYM_RTOL * scale:
-                out.append(f"block {j} is not symmetric")
-                continue
-            w = np.linalg.eigvalsh(0.5 * (A + A.T))
-            if w.min() <= 0:
-                out.append(f"block {j} is not positive definite (min eig {w.min():.3e})")
+        out = [f"block {j} {bad}" for j, bad in enumerate(map(block_defect, self.blocks)) if bad]
         for j, c in enumerate(self.amplitudes):
             if not (c > 0 and math.isfinite(c)):
                 out.append(f"amplitude {j} = {c} not positive finite")

@@ -280,6 +280,18 @@ def test_nonlinear_base_mode(tmp_path):
     assert doc["ratio"] < doc["bound"]
 
 
+@pytest.mark.parametrize(
+    "extra", [[], ["--method", "monte-carlo", "--resolution", "4000", "--seed", "2"]]
+)
+def test_nonlinear_records_method_and_resolution(tmp_path, extra):
+    out = tmp_path / "r.json"
+    argv = ["nonlinear", "--group", "young-euclidean-1", "--resolution", "64", *extra]
+    assert run(argv + ["--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    args = cli.build_parser().parse_args(argv)
+    assert (doc["method"], doc["resolution"]) == (args.method, args.resolution)
+
+
 def test_nonlinear_refuses_unfinishable_grid(tmp_path, capsys):
     # the default tensor grid in n = 6 holds 256^6 points: refused up front
     out = tmp_path / "r.json"
@@ -518,6 +530,31 @@ def test_unknown_group_exits_two(tmp_path, capsys):
 
 def test_missing_file_exits_two(tmp_path):
     assert run(["constant", "--input", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["constant", "--input", "nope.json"], {}),
+        (["finiteness", "--input", "YOUNG", "--budget", "0"], {}),
+        (["nonlinear", "--group", "young-borel"], {}),
+        (["young-lie", "--group", "young-euclidean-1", "--deltas", ","], {}),
+        (["young-lie", "--group", "young-euclidean-1", "--deltas", "0.1"], {"BL_SCALES_THREADS": "four"}),
+        (["schedule", "--alpha", "1.0"], {}),
+        (["schedule", "--alpha", "1.0000001", "--mu", "1e-300"], {}),
+    ],
+    ids=["missing-file", "budget-0", "unknown-group", "empty-deltas", "bad-threads", "alpha-1", "step-limit"],
+)
+def test_every_input_error_is_reported_as_error(young_file, tmp_path, monkeypatch, capsys, argv, env):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    monkeypatch.chdir(tmp_path)
+    argv = [young_file if a == "YOUNG" else a for a in argv]
+    out = tmp_path / "out"
+    assert run(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,31 @@ def test_integrate_function_exact_and_estimated():
     ]
 
 
+@pytest.mark.parametrize(
+    "block, amplitude",
+    [
+        # det 1, but the symmetric part has eigenvalues -1.5 and 3.5
+        ([[1.0, 5.0], [0.0, 1.0]], None),
+        ([[float("nan")]], None),
+        # det 1 as well, and negative definite
+        (-np.eye(2), None),
+        ([[1.0]], -1.0),
+        ([[1.0]], float("inf")),
+        ([[1.0]], float("nan")),
+    ],
+    ids=["asymmetric", "nan-block", "negative-definite", "negative-amplitude", "inf-amplitude", "nan-amplitude"],
+)
+def test_gaussian_function_rejects_what_is_not_a_gaussian(block, amplitude):
+    with pytest.raises(ValueError, match="gaussian"):
+        GaussianFunction(block, amplitude)
+
+
+def test_gaussian_function_allows_amplitude_zero():
+    f = GaussianFunction([[2.0, 0.5], [0.5, 1.0]], 0.0)
+    assert f.exact_mass == 0.0
+    assert f(np.zeros((1, 2)))[0] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # domains
 

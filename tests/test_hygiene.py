@@ -145,3 +145,36 @@ def test_every_raise_is_a_value_error():
         if name not in allowed and (module, top, name) not in RAISE_EXCEPTIONS
     ]
     assert stray == []
+
+
+def readers(source: str, name: str) -> set:
+    """Top-level definitions of a module that read `name` (None for a
+    statement outside any definition)."""
+    return {
+        getattr(top, "name", None)
+        for top in ast.parse(source).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_scan_finds_readers():
+    source = (
+        "def w(x): pass\n"
+        "def a(): w(1)\n"
+        "def b(): return [w]\n"
+        "def c(): pass\n"
+        "w(2)\n"
+    )
+    assert readers(source, "w") == {"a", "b", None}
+
+
+def test_cli_writes_artifacts_through_the_report_and_table_writers():
+    """One report writer records the provenance flags of every JSON artifact,
+    and one table writer lays out every CSV artifact."""
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert readers(source, "_write_json") == {"_write_report"}
+    assert readers(source, "_write_text") == {"_write_json", "_write_table"}
+    commands = {name for name in definitions(source) if name.startswith("cmd_")}
+    writers = readers(source, "_write_report") | readers(source, "_write_table")
+    assert commands and commands <= writers
