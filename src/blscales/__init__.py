@@ -1,119 +1,1 @@
 """Numerical toolkit for Brascamp-Lieb constants and induction on scales."""
-
-from .datum import (
-    BLDatum,
-    DatumError,
-    FinitenessReport,
-    criterion_slack,
-    datum_from_json,
-    datum_to_json,
-    finiteness_check,
-    kernel_basis_condition,
-    load_datum,
-    save_datum,
-    scaling_condition,
-    validate_datum,
-)
-from .gaussians import (
-    ExtremiserResult,
-    GaussianTuple,
-    SingularMatrixError,
-    c0_constants,
-    compute_M,
-    gaussian_bl_value,
-    scale_gaussian,
-    solve_extremiser,
-    truncation_deficit,
-    young_constant,
-)
-from .functional import (
-    Box,
-    CallableFunction,
-    GaussianFunction,
-    IndicatorFunction,
-    InputTuple,
-    QuadratureSpec,
-    SampledFunction,
-    ball_inequality_check,
-    bl_functional,
-    convolve_inputs,
-    poisson_kappa,
-    poisson_smooth,
-)
-from .nonlinear import (
-    LocalizedProblem,
-    NonlinearDatum,
-    Submersion,
-    base_case_check,
-    is_kappa_constant,
-    lie_group_young,
-    localized_ratio,
-    perturbation_check,
-    recursive_step_check,
-    registry,
-    validate_submersion,
-)
-from .scheduler import (
-    ScheduleParams,
-    accumulated_factor,
-    choose_delta0,
-    final_bound,
-    kappa_evolution,
-    schedule,
-    validate_params,
-)
-
-__all__ = [
-    "BLDatum",
-    "DatumError",
-    "FinitenessReport",
-    "criterion_slack",
-    "datum_from_json",
-    "datum_to_json",
-    "finiteness_check",
-    "kernel_basis_condition",
-    "load_datum",
-    "save_datum",
-    "scaling_condition",
-    "validate_datum",
-    "ExtremiserResult",
-    "GaussianTuple",
-    "SingularMatrixError",
-    "c0_constants",
-    "compute_M",
-    "gaussian_bl_value",
-    "scale_gaussian",
-    "solve_extremiser",
-    "truncation_deficit",
-    "young_constant",
-    "Box",
-    "CallableFunction",
-    "GaussianFunction",
-    "IndicatorFunction",
-    "InputTuple",
-    "QuadratureSpec",
-    "SampledFunction",
-    "ball_inequality_check",
-    "bl_functional",
-    "convolve_inputs",
-    "poisson_kappa",
-    "poisson_smooth",
-    "LocalizedProblem",
-    "NonlinearDatum",
-    "Submersion",
-    "base_case_check",
-    "is_kappa_constant",
-    "lie_group_young",
-    "localized_ratio",
-    "perturbation_check",
-    "recursive_step_check",
-    "registry",
-    "validate_submersion",
-    "ScheduleParams",
-    "accumulated_factor",
-    "choose_delta0",
-    "final_bound",
-    "kappa_evolution",
-    "schedule",
-    "validate_params",
-]

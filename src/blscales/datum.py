@@ -369,6 +369,15 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _all_numbers(x) -> bool:
+    """A JSON number (not a bool), or nested lists whose every entry is one."""
+    return all(map(_all_numbers, x)) if isinstance(x, list) else _is_number(x)
+
+
 def datum_from_json(obj: dict) -> BLDatum:
     """The datum of a JSON object; DatumError for a missing or wrongly typed field."""
     try:
@@ -379,6 +388,9 @@ def datum_from_json(obj: dict) -> BLDatum:
         raise DatumError(f"n must be an integer, got {n!r}")
     if not isinstance(raw, list):
         raise DatumError(f"exponents must be a list, got {raw!r}")
+    # np.asarray would read "1" and true as 1.0
+    if not _all_numbers(maps):
+        raise DatumError(f"maps must be a list of numeric matrices, got {maps!r}")
     try:
         maps = [np.asarray(L, dtype=float) for L in maps]
     except (TypeError, ValueError) as exc:
@@ -394,7 +406,7 @@ def datum_from_json(obj: dict) -> BLDatum:
             exps.append(float(q))
             if exact is not None:
                 exact.append(q)
-        elif isinstance(entry, (int, float)) and not isinstance(entry, bool):
+        elif _is_number(entry):
             exps.append(float(entry))
             exact = None
         else:

@@ -12,9 +12,7 @@ and ratio path; `nonlinear` forms its localized ratios through them as well.
 The module also provides the convolution of input tuples, a numerical
 check of the convolution inequality
 
-    BL(f) BL(g) <= sup_x BL(h^x) BL(f*g),   h_j^x(z) = f_j(z) g_j(L_j x - z),
-
-and Poisson-kernel smoothing with a certified constancy modulus.
+    BL(f) BL(g) <= sup_x BL(h^x) BL(f*g),   h_j^x(z) = f_j(z) g_j(L_j x - z).
 """
 from __future__ import annotations
 
@@ -33,9 +31,6 @@ BOUNDARY_MASS_LIMIT = 0.01
 
 # half-width of a gaussian's nominal support box, in standard deviations
 RADIUS_SIGMAS = 10.0
-
-# half-width of the truncated Poisson kernel, in units of its height t
-POISSON_WINDOW = 50.0
 
 # most cells per axis of the grids `convolve_inputs` samples its factors on;
 # below it the quadrature resolution sets the count
@@ -290,7 +285,7 @@ class SampledFunction:
 
     def native_mass(self) -> float:
         """Cell sum of the grid, sum(values) prod(steps): the mass that
-        `convolve_inputs` and `poisson_smooth` preserve exactly."""
+        `convolve_inputs` preserves exactly."""
         return float(self.values.sum() * np.prod(self.steps))
 
 
@@ -814,82 +809,3 @@ def ball_inequality_check(
         skipped_x=h_values.count(None),
         extremiser_consequences=consequences,
     )
-
-
-# ---------------------------------------------------------------------------
-# Poisson smoothing
-
-
-def poisson_kappa(mu: float, t: float, d: int = 1) -> float:
-    """Sharp constancy level of the Poisson kernel at height t and step mu:
-    sup over |x - y| <= mu of P_t(x) / P_t(y)."""
-    if mu < 0 or t <= 0:
-        raise ValueError("need mu >= 0 and t > 0")
-    s = 0.5 * (-mu + math.sqrt(mu * mu + 4.0 * t * t))
-    ratio = (t * t + (s + mu) ** 2) / (t * t + s * s)
-    return ratio ** (0.5 * (d + 1))
-
-
-def poisson_certified_mu(kappa: float, t: float, d: int = 1) -> float:
-    """Largest step mu at which the Poisson kernel is kappa-constant.
-
-    At the worst offset s of `poisson_kappa`, s (s + mu) = t^2, so the sup
-    ratio is (1 + mu/s)^((d+1)/2); solving for mu gives mu = t k / sqrt(1 + k)
-    with k = kappa^(2/(d+1)) - 1.
-    """
-    if kappa < 1.0:
-        raise ValueError("kappa must be at least 1")
-    if t <= 0:
-        raise ValueError("t must be positive")
-    k = math.expm1(2.0 * math.log(kappa) / (d + 1))
-    return t * k / math.sqrt(1.0 + k)
-
-
-@dataclass
-class PoissonSmoothResult:
-    smoothed: SampledFunction
-    t: float
-    kappa: Optional[float]
-    mu_certified: Optional[float]
-
-
-def poisson_smooth(
-    f: SampledFunction, t: float, kappa: Optional[float] = None
-) -> PoissonSmoothResult:
-    """Convolve a sampled function with the Poisson kernel at height t.
-
-    The kernel is truncated to a window of half-width `POISSON_WINDOW * t` and
-    renormalized to unit mass, so smoothing preserves the grid mass exactly.
-    In one dimension the weights integrate the kernel over each cell in closed
-    form; in higher dimensions they are midpoint samples.  When kappa is given
-    the result carries the largest certified constancy step of the untruncated
-    kernel at that level.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    d = len(f.axes)
-    h = f.steps
-    half_cells = np.maximum(np.ceil(POISSON_WINDOW * t / h).astype(int), 2)
-    if d == 1:
-        k = np.arange(-half_cells[0], half_cells[0] + 1)
-        edges_lo = (k - 0.5) * h[0]
-        edges_hi = (k + 0.5) * h[0]
-        weights = (np.arctan(edges_hi / t) - np.arctan(edges_lo / t)) / math.pi
-    elif d == 2:
-        kx = np.arange(-half_cells[0], half_cells[0] + 1) * h[0]
-        ky = np.arange(-half_cells[1], half_cells[1] + 1) * h[1]
-        xx, yy = np.meshgrid(kx, ky, indexing="ij")
-        r2 = xx * xx + yy * yy
-        weights = t / (2.0 * math.pi * (t * t + r2) ** 1.5) * h[0] * h[1]
-    else:
-        raise ValueError("poisson_smooth supports dimensions 1 and 2")
-    weights = weights / weights.sum()
-    conv = _fft_convolve(f.values, weights)
-    conv = np.maximum(conv, 0.0)
-    axes = []
-    for i in range(d):
-        start = f.axes[i][0] - half_cells[i] * h[i]
-        axes.append(start + np.arange(conv.shape[i]) * h[i])
-    smoothed = SampledFunction(axes, conv)
-    mu = poisson_certified_mu(kappa, t, d) if kappa is not None else None
-    return PoissonSmoothResult(smoothed=smoothed, t=t, kappa=kappa, mu_certified=mu)

@@ -59,12 +59,6 @@ class GaussianTuple:
         self.blocks = [np.atleast_2d(np.asarray(A, dtype=float)) for A in self.blocks]
         self.amplitudes = [float(c) for c in self.amplitudes]
 
-    @classmethod
-    def l1_normalized(cls, blocks: Sequence[np.ndarray]) -> "GaussianTuple":
-        blocks = [np.atleast_2d(np.asarray(A, dtype=float)) for A in blocks]
-        amps = [float(np.sqrt(np.linalg.det(A))) for A in blocks]
-        return cls(blocks=blocks, amplitudes=amps)
-
     def validate(self) -> list:
         out = [f"block {j} {bad}" for j, bad in enumerate(map(block_defect, self.blocks)) if bad]
         for j, c in enumerate(self.amplitudes):
@@ -210,7 +204,8 @@ def solve_extremiser(
             status = "diverged"
             break
 
-    g = GaussianTuple.l1_normalized(blocks)
+    # unit L^1 masses: c_j = det(A_j)^{1/2}
+    g = GaussianTuple(blocks, [float(np.sqrt(np.linalg.det(A))) for A in blocks])
     value = gaussian_bl_value(datum, g)
     return ExtremiserResult(
         gaussians=g,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -493,7 +494,15 @@ def test_bad_exponent_fraction_exits_two(tmp_path, capsys, bad):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("maps", 5), ("exponents", 0.5), ("exponents", [None, 1]), ("n", 2.5)],
+    [
+        ("maps", 5),
+        ("exponents", 0.5),
+        ("exponents", [None, 1]),
+        ("n", 2.5),
+        ("maps", [[["1", "0"]], [[1, -1]], [[0, 1]]]),
+        ("maps", [[[True, False]], [[1, -1]], [[0, 1]]]),
+        ("maps", [[[1, True]], [[1, -1]], [[0, 1]]]),
+    ],
 )
 def test_wrongly_typed_datum_field_exits_two(tmp_path, capsys, field, value):
     obj = {"n": 2, "maps": [m.tolist() for m in young_maps()], "exponents": [2 / 3] * 3}
@@ -555,6 +564,26 @@ def test_every_input_error_is_reported_as_error(young_file, tmp_path, monkeypatc
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the README's examples
+
+
+def readme_cli_lines() -> list:
+    """The commands of the README's fenced block under `## CLI`, with the
+    backslash continuation lines joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    return block.replace("\\\n", " ").splitlines()
+
+
+@pytest.mark.parametrize("line", readme_cli_lines(), ids=lambda line: line.split()[1])
+def test_readme_cli_example_exits_zero(young_file, tmp_path, line):
+    argv = shlex.split(line, comments=True)
+    assert argv[0] == "blscales"
+    argv = [young_file if a == "datum.json" else a for a in argv[1:]]
+    assert run(argv + ["--output", str(tmp_path / "out")]) == 0
 
 
 # ---------------------------------------------------------------------------

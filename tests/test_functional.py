@@ -1,5 +1,5 @@
-"""Quadrature evaluation of the functional, convolution, the ball inequality
-check, and Poisson smoothing."""
+"""Quadrature evaluation of the functional, convolution and the ball
+inequality check."""
 
 import math
 import warnings
@@ -31,9 +31,6 @@ from blscales.functional import (
     integrate_function,
     localized_max,
     masses,
-    poisson_certified_mu,
-    poisson_kappa,
-    poisson_smooth,
     pullback,
 )
 from blscales.gaussians import gaussian_bl_value
@@ -564,54 +561,6 @@ def test_ball_check_estimates_each_integral_once(young_datum, monkeypatch):
     assert len(calls) == 3 + len(x_grid) == 6
 
 
-# ---------------------------------------------------------------------------
-# Poisson smoothing
-
-
-def test_poisson_kappa_values():
-    # at mu = 2t the sup ratio is exactly 3 + 2 sqrt(2)
-    assert poisson_kappa(0.1, 0.05, 1) == pytest.approx(3.0 + 2.0 * math.sqrt(2.0), rel=1e-14)
-    assert poisson_kappa(0.01, 0.05, 1) == pytest.approx(1.2209975124224177, rel=1e-12)
-    assert poisson_kappa(0.5, 0.05, 1) == pytest.approx(101.99019513592786, rel=1e-12)
-    assert poisson_kappa(0.01, 0.2, 1) == pytest.approx(1.0512656225593564, rel=1e-12)
-    assert poisson_kappa(0.1, 0.2, 1) == pytest.approx(1.6403882032022072, rel=1e-12)
-    assert poisson_kappa(0.5, 0.2, 1) == pytest.approx(8.126952648395529, rel=1e-12)
-    assert poisson_kappa(0.1, 0.05, 2) == pytest.approx(14.071067811865474, rel=1e-12)
-    assert poisson_kappa(0.0, 0.3, 1) == 1.0
-
-
-def test_poisson_kappa_is_sharp_sup():
-    # dense scan of P_t(x) / P_t(x + mu) over the real line
-    for mu, t, d in [(0.01, 0.05, 1), (0.1, 0.2, 1), (0.05, 0.1, 2)]:
-        xs = np.linspace(-3.0 * t, 3.0 * t, 200001)
-        P = (t / (t * t + xs * xs)) ** (0.5 * (d + 1))
-        Q = (t / (t * t + (xs + mu) ** 2)) ** (0.5 * (d + 1))
-        brute = float(np.max(P / Q))
-        assert poisson_kappa(mu, t, d) == pytest.approx(brute, rel=1e-9)
-        assert poisson_kappa(mu, t, d) >= brute - 1e-12
-
-
-def test_poisson_certified_mu_inverts_kappa():
-    mu = poisson_certified_mu(1.3, 0.1, 1)
-    assert mu == pytest.approx(0.02631174057921088, rel=1e-10)
-    assert poisson_kappa(mu, 0.1, 1) <= 1.3 + 1e-12
-    assert poisson_kappa(1.01 * mu, 0.1, 1) > 1.3
-    assert poisson_certified_mu(1.0, 0.1, 1) == 0.0
-    with pytest.raises(ValueError):
-        poisson_certified_mu(0.9, 0.1, 1)
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_poisson_certified_mu_is_sharp(d):
-    for t in (1e-3, 0.1, 3.0):
-        for kappa in (1.001, 1.3, 10.0, 1e8):
-            mu = poisson_certified_mu(kappa, t, d)
-            assert poisson_kappa(mu, t, d) <= kappa * (1.0 + 1e-12)
-            assert poisson_kappa(mu * (1.0 + 1e-9), t, d) > kappa
-    with pytest.raises(ValueError):
-        poisson_certified_mu(1.3, 0.0, d)
-
-
 def test_sampled_function_rejects_negative_values():
     with pytest.raises(ValueError, match="nonnegative"):
         SampledFunction([np.arange(3.0)], np.array([1.0, -1e-12, 2.0]))
@@ -679,54 +628,6 @@ def test_sampled_function_matches_regular_grid_interpolator(dim):
         assert np.all(np.abs(ours - ref) <= 4.0 * np.spacing(ref))
     else:
         assert ours.tobytes() == ref.tobytes()
-
-
-def test_poisson_smooth_preserves_mass():
-    rng = np.random.default_rng(3)
-    axes = [np.linspace(0.0, 1.0, 200)]
-    vals = rng.uniform(0.0, 2.0, 200)
-    f = SampledFunction(axes, vals)
-    res = poisson_smooth(f, t=0.05, kappa=1.3)
-    assert res.smoothed.native_mass() == pytest.approx(f.native_mass(), rel=1e-14)
-    assert res.mu_certified == pytest.approx(
-        poisson_certified_mu(1.3, 0.05, 1), rel=1e-12
-    )
-    with pytest.raises(ValueError):
-        poisson_smooth(f, t=0.0)
-
-
-def test_poisson_smooth_flattens_jump():
-    # an indicator has unbounded local ratios; after smoothing the ratio over
-    # steps of size mu_certified stays within the requested level
-    axes = [np.linspace(-1.0, 1.0, 400)]
-    vals = (np.abs(axes[0]) <= 0.5).astype(float)
-    f = SampledFunction(axes, vals)
-    res = poisson_smooth(f, t=0.05, kappa=1.3)
-    mu = res.mu_certified
-    xs = np.linspace(-0.9, 0.9 - mu, 20000).reshape(-1, 1)
-    a = res.smoothed(xs)
-    b = res.smoothed(xs + mu)
-    ratios = np.maximum(a, b) / np.minimum(a, b)
-    # grid interpolation adds a little on top of the analytic level
-    assert float(ratios.max()) <= 1.3 * 1.05
-    raw_a = f(xs)
-    raw_b = f(xs + mu)
-    good = (raw_a > 0) & (raw_b > 0)
-    raw = np.maximum(raw_a[good], raw_b[good]) / np.minimum(raw_a[good], raw_b[good])
-    assert float(raw.max()) > 10.0
-
-
-def test_poisson_smooth_2d_mass():
-    rng = np.random.default_rng(4)
-    axes = [np.linspace(0.0, 1.0, 60), np.linspace(0.0, 1.0, 60)]
-    vals = rng.uniform(0.0, 1.0, (60, 60))
-    f = SampledFunction(axes, vals)
-    res = poisson_smooth(f, t=0.05)
-    assert res.smoothed.native_mass() == pytest.approx(f.native_mass(), rel=1e-12)
-    a = np.linspace(0.0, 1.0, 4)
-    cube = SampledFunction([a, a, a], np.ones((4, 4, 4)))
-    with pytest.raises(ValueError):
-        poisson_smooth(cube, t=0.1)
 
 
 def test_estimate_agrees_across_estimators_on_a_ball():

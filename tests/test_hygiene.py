@@ -178,3 +178,52 @@ def test_cli_writes_artifacts_through_the_report_and_table_writers():
     commands = {name for name in definitions(source) if name.startswith("cmd_")}
     writers = readers(source, "_write_report") | readers(source, "_write_table")
     assert commands and commands <= writers
+
+
+SUBMODULES = {p.stem for p in MODULES}
+
+
+def root_names(source: str) -> list:
+    """Names other than submodules that a module takes from the package
+    root: `from blscales import X`, `from . import X` and `blscales.X`."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            (node.level == 0 and node.module == "blscales")
+            or (node.level == 1 and node.module is None)
+        ):
+            out += [alias.name for alias in node.names]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "blscales"
+            and not node.attr.startswith("__")
+        ):
+            out.append(node.attr)
+    return sorted(set(out) - SUBMODULES)
+
+
+def test_scan_finds_root_names():
+    source = (
+        "import blscales\n"
+        "from blscales import cli, solve_extremiser\n"
+        "from . import mc, Box\n"
+        "from .datum import BLDatum\n"
+        "print(blscales.__file__, blscales.gaussians, blscales.young_constant)\n"
+    )
+    assert root_names(source) == ["Box", "solve_extremiser", "young_constant"]
+
+
+def test_package_root_binds_nothing():
+    """One name per function: the API is imported from its module, and the
+    package root is its docstring only."""
+    body = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")).body
+    assert len(body) == 1 and isinstance(body[0], ast.Expr)
+    assert isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)
+    stray = {
+        str(path.relative_to(ROOT)): names
+        for top in ("src", "tests", "demos", "bench")
+        for path in sorted((ROOT / top).rglob("*.py"))
+        if (names := root_names(path.read_text(encoding="utf-8")))
+    }
+    assert stray == {}
